@@ -147,6 +147,20 @@ def parse_grid(text: str, unit: str) -> list[Fraction]:
     return out
 
 
+def parse_domain(text: str, unit: str) -> tuple[Fraction, Fraction]:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise FlagError(f"domain spec {text!r} must be LO:HI")
+    try:
+        lo = _rate_to_interest(parts[0], unit)
+        hi = _rate_to_interest(parts[1], unit)
+    except ModelFormatError as exc:
+        raise FlagError(f"bad domain spec {text!r}: {exc}") from exc
+    if hi <= lo:
+        raise FlagError("domain upper bound must exceed lower bound")
+    return lo, hi
+
+
 def _emit_csv(rows: list[list[str]]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -311,18 +325,14 @@ def cmd_analyze(args) -> int:
     ts = load_model(args.model)
     lo, hi = (Fraction(0), Fraction(2))
     if args.domain:
-        parts = args.domain.split(":")
-        if len(parts) != 2:
-            raise ModelFormatError("domain must be LO:HI")
-        lo = _rate_to_interest(parts[0], args.unit)
-        hi = _rate_to_interest(parts[1], args.unit)
+        lo, hi = parse_domain(args.domain, args.unit)
 
     report = detect_reswitching(ts, lo, hi)
     switch_points = []
     if len(ts) >= 2:
         for u, v in combinations(ts.techniques, 2):
             try:
-                switch_points.extend(pairwise_switch_points(u, v, lo, hi))
+                switch_points.extend(pairwise_switch_points(u, v, lo, hi, ts.wage))
             except ReswitchError:
                 continue
     switch_points.sort(key=lambda sp: sp.interest_approx)
@@ -408,13 +418,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_falsify(args) -> int:
-    cfg = GeneratorConfig(
-        seed=args.seed,
-        trials=args.trials,
-        structure=args.structure,
-        horizon_min=args.horizon_min,
-        horizon_max=args.horizon_max,
-    )
+    try:
+        cfg = GeneratorConfig(
+            seed=args.seed,
+            trials=args.trials,
+            structure=args.structure,
+            horizon_min=args.horizon_min,
+            horizon_max=args.horizon_max,
+        )
+    except ValueError as exc:
+        raise FlagError(str(exc)) from exc
     report = run_falsification(cfg)
     sys.stdout.write(report.to_json())
     return 0 if not report.counterexamples else 1
@@ -491,6 +504,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "falsify" and args.trials < 1:
         parser.error("--trials must be at least 1")
+    if getattr(args, "precision", None) is not None and args.precision < 0:
+        parser.error("--precision must be at least 0")
     if args.command == "curves" and args.which == "figure3" and not args.group:
         parser.error("figure3 requires --group")
     try:

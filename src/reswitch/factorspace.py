@@ -7,7 +7,8 @@ cost of the group's reference bundle at current factor prices. Dividing F
 by the rental of a single complementary input yields a relative factor
 price, and plotting the technique cost ratio against it collapses the
 multi-valued interest-rate picture into a single-valued, strictly monotone
-curve with at most one switch.
+curve with at most one switch. `verify_single_switch` certifies that collapse
+by an exact polynomial identity alone; it evaluates no grid.
 
 Naming note: the aggregate combines the post-factum wage (wage compounded to
 period end) with rentals; the ante-factum wage never enters it directly.
@@ -374,18 +375,23 @@ def verify_single_switch(
     group: FactorGroup,
     lo: Fraction = Fraction(0),
     hi: Fraction = Fraction(2),
-    grid_points: int = 41,
 ) -> TheoremVerdict:
     """Check that the cost ratio is a single-valued, strictly monotone
     function of the relative factor price, crossing 1 at most once.
 
     Preconditions (two techniques, disjoint positive supports, the group
     exactly equal to one support, a scalar complement) are verified first;
-    when any fails the verdict carries a reason and makes no claim. All
-    verification arithmetic is exact: the collapse of the cost ratio onto
-    the relative price is certified as a polynomial identity and then
-    witnessed on an exact grid, including equal-price pairs when they are
-    rationally constructible.
+    when any fails the verdict carries a reason and makes no claim.
+
+    Given the preconditions, the verdict rests on an exact polynomial
+    identity in x = 1 + i, not on sampling: F equals the owner's unit cost
+    and the other technique's cost equals other_coeff * x**lag. The cost
+    ratio is then identically relative_price / other_coeff. other_coeff is
+    positive because the complement lag lies in the other technique's
+    support, so the ratio is single-valued and strictly increasing in the
+    relative price by construction, and it crosses 1 only where
+    relative_price == other_coeff. That crossing's interest preimages in
+    [lo, hi] come back as root certificates.
     """
     names = tuple(ts.names)
     if len(ts) != 2:
@@ -427,40 +433,6 @@ def verify_single_switch(
             "relative price", None,
         )
 
-    # Exact grid evidence plus constructed equal-price pairs.
-    lo, hi = Fraction(lo), Fraction(hi)
-    step = (hi - lo) / (grid_points - 1)
-    grid = [lo + k * step for k in range(grid_points)]
-    points = relative_price_curve(ts, group, grid)
-    for pt in points:
-        if pt.cost_ratio * other_coeff != pt.relative_price:
-            return TheoremVerdict(
-                names, True, False, None,
-                f"exact collapse check failed at interest {pt.interest}", None,
-            )
-    ordered = sorted(points, key=lambda p: p.relative_price)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.relative_price == b.relative_price:
-            if a.cost_ratio != b.cost_ratio:
-                return TheoremVerdict(
-                    names, True, False, None,
-                    "equal relative prices with different cost ratios", None,
-                )
-        elif not a.cost_ratio < b.cost_ratio:
-            return TheoremVerdict(
-                names, True, False, None,
-                "cost ratio not strictly increasing in relative price", None,
-            )
-    for i1, i2 in symmetric_interest_pairs(ts, group, 25, lo, hi):
-        p1 = relative_price_curve(ts, group, [i1])[0]
-        p2 = relative_price_curve(ts, group, [i2])[0]
-        if p1.relative_price != p2.relative_price or p1.cost_ratio != p2.cost_ratio:
-            return TheoremVerdict(
-                names, True, False, None,
-                f"equal-price pair ({i1}, {i2}) broke single-valuedness", None,
-            )
-
-    crossing = None
     try:
         preimages = interest_rates_for_relative_price(
             ts, group, other_coeff, lo, hi

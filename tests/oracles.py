@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch on stdlib integers and
 fractions, without touching the package's own isolation or dominance code:
-dense sign scans with finite differences, plain bisection, and direct
-cheapest-technique evaluation.
+dense sign scans with finite differences, plain bisection, direct
+cheapest-technique evaluation, and an exact-grid re-check of the
+factor-price collapse.
 """
 
 from __future__ import annotations
@@ -120,3 +121,113 @@ def cheapest_names(labors: dict, wage: Fraction, interest: Fraction) -> set:
         )
     best = min(costs.values())
     return {n for n, c in costs.items() if c == best}
+
+
+def _exact_root(value: int, k: int):
+    """The integer k-th root of a nonnegative int by bisection, or None if
+    value is not a perfect k-th power."""
+    low, high = 0, value + 1
+    while high - low > 1:
+        mid = (low + high) // 2
+        if mid**k <= value:
+            low = mid
+        else:
+            high = mid
+    return low if low**k == value else None
+
+
+def factor_grid(lo=0, hi=2, points=41):
+    """`points` evenly spaced exact factors x = 1 + i for i in [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    return [1 + lo + (hi - lo) * Fraction(k, points - 1) for k in range(points)]
+
+
+def factor_space_violations(labors, group_lags, complement_lag, lo=0, hi=2, points=41):
+    """Re-check the single switch in factor-price space on an exact grid.
+
+    labors are two raw dated-labor vectors (lag 1 first), group_lags the
+    aggregated lags and complement_lag the lag whose rental normalizes the
+    group price F. Prices follow the structural definitions directly: the
+    input applied t periods back is priced at x**t with x = 1 + i (the wage
+    cancels from both ratios). At `points` evenly spaced exact rates on
+    [lo, hi] this recomputes F/rental and the cost ratio (the technique
+    using the group over the other one) and checks
+
+    - collapse: ratio * (other's complement labor) == F/rental;
+    - single-valuedness: equal relative prices carry equal ratios;
+    - strict monotonicity: the ratio rises with the relative price;
+    - equal-price pairs: when the group is two lags s < u placed
+      symmetrically around the complement lag c (a = c - s = u - c) and
+      (L_s / L_u) has a rational a-th root P, every grid rate x has the
+      partner P / x with the same relative price, which must carry the
+      same ratio.
+
+    Returns one message per failed check; an empty list means the grid
+    agrees with the single-switch claim.
+    """
+    group = sorted(group_lags)
+    vectors = [[Fraction(v) for v in labor] for labor in labors]
+
+    def at(vec, t):
+        return vec[t - 1] if t <= len(vec) else Fraction(0)
+
+    owner_pos = 0 if any(at(vectors[0], t) > 0 for t in group) else 1
+    owner, other = vectors[owner_pos], vectors[1 - owner_pos]
+    bundle = {t: at(owner, t) for t in group}
+    other_coeff = at(other, complement_lag)
+
+    def cost(vec, x):
+        return sum((v * x**t for t, v in enumerate(vec, start=1)), Fraction(0))
+
+    def relative_price(x):
+        group_price = sum((q * x**t for t, q in bundle.items()), Fraction(0))
+        return group_price / x**complement_lag
+
+    def ratio(x):
+        return cost(owner, x) / cost(other, x)
+
+    xs = factor_grid(lo, hi, points)
+    curve = [(relative_price(x), ratio(x), x) for x in xs]
+    found = []
+    for rel, r, x in curve:
+        if r * other_coeff != rel:
+            found.append(f"collapse fails at interest {x - 1}")
+    curve.sort()
+    for (rel_a, r_a, x_a), (rel_b, r_b, x_b) in zip(curve, curve[1:]):
+        if rel_a == rel_b and r_a != r_b:
+            found.append(f"two ratios at relative price {rel_a}")
+        elif rel_a != rel_b and not r_a < r_b:
+            found.append(f"ratio not increasing from interest {x_a - 1} to {x_b - 1}")
+
+    for x, partner in equal_price_pairs(bundle, complement_lag, xs):
+        if relative_price(x) != relative_price(partner):
+            found.append(f"pair ({x - 1}, {partner - 1}) has unequal relative prices")
+        elif ratio(x) != ratio(partner):
+            found.append(f"pair ({x - 1}, {partner - 1}) has unequal ratios")
+    return found
+
+
+def equal_price_pairs(bundle, complement_lag, xs):
+    """Partners x' = P / x of grid factors x with the same relative price.
+
+    Empty unless the bundle holds two lags symmetric around complement_lag
+    and the ratio of their coefficients has a rational root of that offset.
+    Partners outside [min(xs), max(xs)] and fixed points x == x' are skipped.
+    """
+    if len(bundle) != 2:
+        return []
+    (s, low), (u, high) = sorted(bundle.items())
+    a = complement_lag - s
+    if a <= 0 or u - complement_lag != a or low <= 0 or high <= 0:
+        return []
+    q = Fraction(low) / Fraction(high)
+    num, den = _exact_root(q.numerator, a), _exact_root(q.denominator, a)
+    if num is None or den is None:
+        return []
+    product = Fraction(num, den)
+    pairs = []
+    for x in xs:
+        partner = product / x
+        if min(xs) <= partner <= max(xs) and partner != x:
+            pairs.append((x, partner))
+    return pairs

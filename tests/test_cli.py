@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
 
 
@@ -173,6 +175,57 @@ class TestAnalyze:
         assert doc["switch_points"] == []
         assert doc["complementarity"] is None
         assert doc["theorem"]["single_switch"] is None
+
+
+    def test_switch_point_tie_costs_at_model_wage(self, tmp_path):
+        model = tmp_path / "wage2.json"
+        model.write_text(
+            '{"wage": "2", "techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
+            ' {"name": "b", "labor": ["6", "0", "2"]}]}'
+        )
+        cp = run_cli("analyze", "--model", str(model))
+        assert cp.returncode == 0, cp.stderr
+        doc = json.loads(cp.stdout)
+        boundaries, points = doc["dominance"]["boundaries"], doc["switch_points"]
+        boundary_costs = {b["interest_exact"]: b["tie_cost_exact"] for b in boundaries}
+        point_costs = {sp["interest_exact"]: sp["tie_cost_exact"] for sp in points}
+        assert point_costs == boundary_costs == {"1/2": "63/2", "1": "56"}
+
+    @pytest.mark.parametrize(
+        "domain, code",
+        [("0:abc", 2), ("5:1", 2), ("-100:50", 1)],
+    )
+    def test_domain_errors(self, domain, code):
+        cp = run_cli("analyze", "--model", MODEL, f"--domain={domain}")
+        assert cp.returncode == code
+        assert "Traceback" not in cp.stderr
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table1", "--model", MODEL, "--rates", "50"),
+            ("table2", "--model", MODEL, "--group", "1,3", "--rates", "50"),
+            ("curves", "figure2", "--model", MODEL),
+            ("analyze", "--model", MODEL),
+        ],
+    )
+    def test_negative_precision(self, args):
+        cp = run_cli(*args, "--precision", "-1")
+        assert cp.returncode == 2
+        assert "--precision" in cp.stderr
+        assert cp.stdout == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--horizon-min", "1"), ("--horizon-min", "4", "--horizon-max", "3")],
+    )
+    def test_falsify_horizon_range(self, flags):
+        cp = run_cli("falsify", "--trials", "1", *flags)
+        assert cp.returncode == 2
+        assert "horizon" in cp.stderr
+        assert "Traceback" not in cp.stderr
 
 
 class TestFalsify:

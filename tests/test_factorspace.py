@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import bisect_root
+from oracles import bisect_root, equal_price_pairs, factor_grid, factor_space_violations
 from reswitch import (
     FactorGroup,
+    GeneratorConfig,
     NoRootError,
     NonScalarComplementError,
     NotAggregableError,
@@ -14,6 +15,7 @@ from reswitch import (
     TechnologySet,
     aggregate_price,
     curve_minimum,
+    generate_technology,
     interest_rates_for_relative_price,
     isolate_real_roots,
     leontief_sono_check,
@@ -251,9 +253,89 @@ class TestVerifySingleSwitch:
             ts = TechnologySet([Technique("a", single), Technique("b", owner)])
             v = verify_single_switch(ts, FactorGroup.of(below, above))
             assert v.single_switch is True
+            assert factor_space_violations([single, owner], (below, above), mid) == []
             verified += 1
         assert verified == 40
 
     def test_support_groups_enumeration(self):
         groups = {tuple(sorted(g.lags)) for g in support_groups(TS)}
         assert groups == {(2,), (1, 3)}
+
+
+def _complement_lag(labors, group_lags):
+    """The one positive lag outside the group, read off the raw vectors."""
+    (lag,) = {
+        t
+        for labor in labors
+        for t, v in enumerate(labor, start=1)
+        if v > 0 and t not in group_lags
+    }
+    return lag
+
+
+def _grid_oracle(ts, group):
+    labors = [t.labor for t in ts.techniques]
+    lag = _complement_lag(labors, group.lags)
+    return factor_space_violations(labors, group.lags, lag)
+
+
+def _has_equal_price_pairs(ts, group):
+    lag = _complement_lag([t.labor for t in ts.techniques], group.lags)
+    (owner,) = [t for t in ts.techniques if set(t.support) == group.lags]
+    bundle = {t: owner.lag(t) for t in group.lags}
+    return bool(equal_price_pairs(bundle, lag, factor_grid()))
+
+
+class TestGridOracle:
+    """The exact-grid re-check of the single switch lives here, outside the
+    library: every verified model must also pass it."""
+
+    def test_champagne(self):
+        assert verify_single_switch(TS, G13).single_switch is True
+        assert _grid_oracle(TS, G13) == []
+        assert len(equal_price_pairs({1: F(6), 3: F(2)}, 2, factor_grid())) == 41
+
+    def test_symmetric_lag_family(self):
+        # owner lags c-a and c+a with coefficient ratio r**a: equal-price
+        # pairs x * x' = r are rational, so the pair check always runs
+        for a, c, r, k, m in [
+            (1, 2, F(3), F(2), F(7)),
+            (1, 3, F(9, 4), F(1, 2), F(5)),
+            (2, 3, F(2), F(3), F(11, 2)),
+            (1, 4, F(5, 2), F(4), F(1, 4)),
+        ]:
+            owner = [F(0)] * (c + a)
+            owner[c - a - 1] = k * r**a
+            owner[c + a - 1] = k
+            single = [F(0)] * (c + a)
+            single[c - 1] = m
+            ts = TechnologySet([Technique("s", single), Technique("o", owner)])
+            group = FactorGroup.of(c - a, c + a)
+            assert verify_single_switch(ts, group).single_switch is True
+            assert _grid_oracle(ts, group) == []
+            assert _has_equal_price_pairs(ts, group)
+
+    def test_every_verified_falsify_model(self):
+        cfg = GeneratorConfig(seed=1, trials=300)
+        verified = paired = 0
+        for idx in range(cfg.trials):
+            ts = generate_technology(cfg, idx)
+            for group in support_groups(ts):
+                v = verify_single_switch(ts, group, cfg.domain_lo, cfg.domain_hi)
+                if v.single_switch is not True:
+                    continue
+                assert _grid_oracle(ts, group) == [], (idx, sorted(group.lags))
+                verified += 1
+                paired += _has_equal_price_pairs(ts, group)
+        assert verified > 250 and paired > 100
+
+    def test_oracle_catches_broken_models(self):
+        # the other technique uses two lags, so the ratio is not a function
+        # of the relative price: the collapse and the equal-price pairs fail
+        broken = factor_space_violations([(6, 0, 2), (1, 7, 0)], (1, 3), 2)
+        assert any(m.startswith("collapse fails") for m in broken)
+        assert any(m.endswith("unequal ratios") for m in broken)
+        # a negative complement coefficient keeps the collapse but reverses
+        # the direction, which only the monotone scan sees
+        reversed_ = factor_space_violations([(0, -7, 0), (6, 0, 2)], (1, 3), 2)
+        assert reversed_ and all("not increasing" in m for m in reversed_)
