@@ -45,6 +45,7 @@ from .rationals import format_fixed, parse_rational
 from .switching import cost_ratio_curve, detect_reswitching, pairwise_switch_points
 
 MIN_ROW_PLACES = 4  # the starred minimum row keeps extra digits
+MAX_GRID_POINTS = 100_001  # cap on `curves --grid`, checked before allocating
 
 
 class FlagError(Exception):
@@ -139,12 +140,12 @@ def parse_grid(text: str, unit: str) -> list[Fraction]:
         raise FlagError("grid upper bound below lower bound")
     if lo <= -1:
         raise DomainError(f"grid start {parts[0].strip()} is at or below -100%")
-    out = []
-    value = lo
-    while value <= hi:
-        out.append(value)
-        value += step
-    return out
+    count = (hi - lo) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise FlagError(
+            f"grid spec {text!r} has {count} points; at most {MAX_GRID_POINTS} allowed"
+        )
+    return [lo + k * step for k in range(count)]
 
 
 def parse_domain(text: str, unit: str) -> tuple[Fraction, Fraction]:
@@ -479,7 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("which", choices=("figure2", "figure3"))
     add_common(pc)
     pc.add_argument(
-        "--grid", default="0:200:1", help="LO:HI:STEP in the chosen unit"
+        "--grid",
+        default="0:200:1",
+        help=f"LO:HI:STEP in the chosen unit; at most {MAX_GRID_POINTS} points",
     )
     pc.add_argument("--group", help="aggregated lags (figure3 only)")
     pc.set_defaults(func=cmd_curves)

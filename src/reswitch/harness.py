@@ -207,11 +207,12 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
     mismatches = 0
     step = (hi - lo) / GRID_CHECK_POINTS
     guards = [b.interest_approx for b in dom.boundaries]
+    polys = {t.name: t.cost_polynomial(ts.wage) for t in ts.techniques}
     for k in range(GRID_CHECK_POINTS + 1):
         i = lo + k * step
         if any(abs(i - g) <= _GRID_GUARD for g in guards):
             continue
-        costs = {t.name: t.cost_at(ts.wage, i) for t in ts.techniques}
+        costs = {name: p(1 + i) for name, p in polys.items()}
         best = min(costs.values())
         winners = {n for n, c in costs.items() if c == best}
         segment = None

@@ -8,7 +8,9 @@ The isolation routine combines three exact ingredients:
 * the remaining (irrational) roots of the square-free part are bracketed by
   Sturm-count bisection, so the interval count is provably exhaustive;
 * multiplicity parity comes from the Yun square-free decomposition, since a
-  technique tie only flips dominance when the crossing has odd multiplicity.
+  technique tie only flips dominance when the crossing has odd multiplicity;
+  the same pass yields the square-free part, so each isolation takes a
+  single gcd(p, p').
 
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
@@ -187,19 +189,18 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     return (p // poly_gcd(p, p.derivative())).monic()
 
 
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition: [(f_k, k)] with p proportional to prod f_k**k."""
-    if p.is_zero:
-        raise ZeroPolynomialError("decomposition of the zero polynomial")
+def _yun(p: Polynomial) -> tuple[Polynomial, list[tuple[Polynomial, int]]]:
+    """Yun's algorithm: the monic square-free part of p (its first quotient
+    p / gcd(p, p')) together with the decomposition [(f_k, k)]."""
     f = p.monic()
     if f.degree == 0:
-        return []
+        return f, []
     df = f.derivative()
     g = poly_gcd(f, df)
     if g.degree == 0:
-        return [(f, 1)]
+        return f, [(f, 1)]
     out = []
-    c = (f // g).monic()
+    sf = c = (f // g).monic()
     d = (df // g) - c.derivative()
     k = 1
     while c.degree and c.degree > 0:
@@ -210,7 +211,14 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         d = (d // a) - c_next.derivative()
         c = c_next
         k += 1
-    return out
+    return sf, out
+
+
+def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Yun decomposition: [(f_k, k)] with p proportional to prod f_k**k."""
+    if p.is_zero:
+        raise ZeroPolynomialError("decomposition of the zero polynomial")
+    return _yun(p)[1]
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
@@ -389,8 +397,7 @@ def isolate_real_roots(
     if hi is not None:
         hi = Fraction(hi)
 
-    factors = squarefree_decomposition(p)
-    sf = squarefree_part(p)
+    sf, factors = _yun(p)
 
     def in_domain(r: Fraction) -> bool:
         return r >= lo and (hi is None or r < hi)

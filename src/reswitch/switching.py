@@ -5,7 +5,12 @@ either exact rationals or carried as certified isolating intervals; segment
 winners are decided by evaluating costs at exact rational sample points that
 provably lie strictly between consecutive tie points. Even-multiplicity
 tie points (tangencies, where two cost curves touch without crossing) never
-enter the dominance map; they are reported separately.
+enter the dominance map's segments or boundaries; the same pass over the
+technique pairs collects them into `DominanceMap.tangencies`.
+
+Each pair's cost difference is isolated once per call into a `_PairTies`
+record (roots, in-domain ties, square-free part), which every consumer in
+that call reads; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ class DominanceMap:
     domain: tuple[Fraction, Fraction]
     segments: tuple[Segment, ...]
     boundaries: tuple[Boundary, ...]
+    tangencies: tuple[Tangency, ...] = ()
 
     @property
     def winners(self) -> tuple[str, ...]:
@@ -158,11 +164,23 @@ def _difference(a: Technique, b: Technique) -> Polynomial:
     return a.cost_polynomial(Fraction(1)) - b.cost_polynomial(Fraction(1))
 
 
-def _pair_tie_points(
-    a: Technique, b: Technique, lo: Fraction, hi: Fraction
-) -> tuple[list[RootInterval], list[tuple[int, RootInterval]], Polynomial]:
-    """All real roots of the cost difference plus the (index, clipped root)
-    pairs lying inside the closed interest interval [lo, hi]."""
+@dataclass(frozen=True)
+class _PairTies:
+    """One pair's tie structure: the cost difference d = cost_a - cost_b at
+    unit wage, its square-free part, every real root of d, and the
+    (index, clipped root) pairs lying inside the closed interest domain."""
+
+    d: Polynomial
+    sf: Optional[Polynomial]  # None when every root is exact: nothing to bisect
+    full: tuple[RootInterval, ...]
+    in_domain: tuple[tuple[int, RootInterval], ...]
+
+    def approx(self, iv: RootInterval) -> Fraction:
+        """The root's x: exact, or refined to within APPROX_TOL."""
+        return iv.lo if iv.is_exact else refine_root(iv, self.d, APPROX_TOL)
+
+
+def _pair_ties(a: Technique, b: Technique, lo: Fraction, hi: Fraction) -> _PairTies:
     d = _difference(a, b)
     if d.is_zero:
         raise IdenticalTechniquesError(
@@ -170,7 +188,7 @@ def _pair_tie_points(
         )
     xlo, xhi = 1 + lo, 1 + hi
     full = _all_real_roots(d)
-    sf = squarefree_part(d)
+    sf = None if all(iv.is_exact for iv in full) else squarefree_part(d)
     in_domain: list[tuple[int, RootInterval]] = []
     for k, iv in enumerate(full):
         if iv.is_exact:
@@ -180,7 +198,7 @@ def _pair_tie_points(
             clipped = _clip_bracket(sf, iv.lo, iv.hi, xlo, xhi)
             if clipped is not None:
                 in_domain.append((k, RootInterval(clipped[0], clipped[1], iv.parity)))
-    return full, in_domain, d
+    return _PairTies(d, sf, tuple(full), tuple(in_domain))
 
 
 def _to_interest(iv: RootInterval) -> RootInterval:
@@ -201,24 +219,20 @@ def pairwise_switch_points(
     """
     lo, hi = _check_domain(lo, hi)
     wage = Fraction(wage)
-    full, in_domain, d = _pair_tie_points(a, b, lo, hi)
+    ties = _pair_ties(a, b, lo, hi)
     a_pad, _ = _pad_pair(a, b)
     cost_a = a_pad.cost_polynomial(wage)
     out = []
-    for k, iv in in_domain:
+    for k, iv in ties.in_domain:
         if iv.parity != ODD:
             continue
-        below = d(_gap_sample(full, k))
-        above = d(_gap_sample(full, k + 1))
+        below = ties.d(_gap_sample(ties.full, k))
+        above = ties.d(_gap_sample(ties.full, k + 1))
         assert below != 0 and above != 0 and (below < 0) != (above < 0)
         cheaper_below = a.name if below < 0 else b.name
         cheaper_above = b.name if below < 0 else a.name
-        if iv.is_exact:
-            approx_x = iv.lo
-            tie_exact: Optional[Fraction] = cost_a(approx_x)
-        else:
-            approx_x = refine_root(iv, d, APPROX_TOL)
-            tie_exact = None
+        approx_x = ties.approx(iv)
+        tie_cost = cost_a(approx_x)
         out.append(
             SwitchPoint(
                 certificate=_to_interest(iv),
@@ -226,8 +240,24 @@ def pairwise_switch_points(
                 interest_approx=approx_x - 1,
                 cheaper_below=cheaper_below,
                 cheaper_above=cheaper_above,
-                tie_cost_exact=tie_exact,
-                tie_cost_approx=cost_a(approx_x),
+                tie_cost_exact=tie_cost if iv.is_exact else None,
+                tie_cost_approx=tie_cost,
+            )
+        )
+    return out
+
+
+def _tangencies(a: Technique, b: Technique, ties: _PairTies) -> list[Tangency]:
+    out = []
+    for _, iv in ties.in_domain:
+        if iv.parity == ODD:
+            continue
+        out.append(
+            Tangency(
+                pair=(a.name, b.name),
+                certificate=_to_interest(iv),
+                interest_exact=iv.lo - 1 if iv.is_exact else None,
+                interest_approx=ties.approx(iv) - 1,
             )
         )
     return out
@@ -238,21 +268,7 @@ def pairwise_tangencies(
 ) -> list[Tangency]:
     """Even-multiplicity tie points of the pair in [lo, hi]."""
     lo, hi = _check_domain(lo, hi)
-    _, in_domain, d = _pair_tie_points(a, b, lo, hi)
-    out = []
-    for _, iv in in_domain:
-        if iv.parity == ODD:
-            continue
-        approx_x = iv.lo if iv.is_exact else refine_root(iv, d, APPROX_TOL)
-        out.append(
-            Tangency(
-                pair=(a.name, b.name),
-                certificate=_to_interest(iv),
-                interest_exact=iv.lo - 1 if iv.is_exact else None,
-                interest_approx=approx_x - 1,
-            )
-        )
-    return out
+    return _tangencies(a, b, _pair_ties(a, b, lo, hi))
 
 
 class _Cut:
@@ -260,12 +276,19 @@ class _Cut:
 
     __slots__ = ("poly", "exact", "lo", "hi", "_sf")
 
-    def __init__(self, poly: Polynomial, exact: Optional[Fraction], lo, hi):
+    def __init__(
+        self,
+        poly: Polynomial,
+        exact: Optional[Fraction],
+        lo,
+        hi,
+        sf: Optional[Polynomial] = None,
+    ):
         self.poly = poly  # vanishes at the point; basis for gcd tie tests
         self.exact = exact
         self.lo = lo
         self.hi = hi
-        self._sf: Optional[Polynomial] = None
+        self._sf = sf  # square-free part of poly, computed on first use if None
 
     @property
     def left(self) -> Fraction:
@@ -376,7 +399,10 @@ def dominance_map(
     cost minimizer; ties occur only at the recorded boundaries.
 
     Techniques with identical profiles are collapsed into one competitor and
-    reported as co-winners of its segments.
+    reported as co-winners of its segments. The same walk over the
+    representative pairs collects their even-multiplicity ties in [lo, hi]
+    as `tangencies`, sorted by approximate interest rate (stable, in pair
+    order), so callers need not isolate any pair again.
     """
     lo, hi = _check_domain(lo, hi)
     xlo, xhi = 1 + lo, 1 + hi
@@ -388,20 +414,28 @@ def dominance_map(
         return DominanceMap((lo, hi), (seg,), ())
 
     cuts: list[_Cut] = []
+    tangencies: list[Tangency] = []
     for u, v in combinations(reps, 2):
-        _, in_domain, d = _pair_tie_points(u, v, lo, hi)
-        for _, iv in in_domain:
+        ties = _pair_ties(u, v, lo, hi)
+        for _, iv in ties.in_domain:
             if iv.parity != ODD:
                 continue
             if iv.is_exact:
-                cuts.append(_Cut(d, iv.lo, iv.lo, iv.lo))
+                cuts.append(_Cut(ties.d, iv.lo, iv.lo, iv.lo))
             else:
-                cuts.append(_Cut(d, None, iv.lo, iv.hi))
+                cuts.append(_Cut(ties.d, None, iv.lo, iv.hi, ties.sf))
+        tangencies.extend(_tangencies(u, v, ties))
+    tangencies.sort(key=lambda t: t.interest_approx)
     cuts = _merge_or_separate(cuts)
     _separate_strictly(cuts, xlo, xhi)
 
+    # built once per call: model-wage costs decide winners, unit-wage
+    # differences decide tie sets
+    cost = {r.name: r.cost_polynomial(wage) for r in reps}
+    unit_cost = {t.name: t.cost_polynomial(Fraction(1)) for t in ts.techniques}
+
     def costs_at(x: Fraction) -> list[Fraction]:
-        return [r.cost_polynomial(wage)(x) for r in reps]
+        return [cost[r.name](x) for r in reps]
 
     def min_owners(x: Fraction) -> list[Technique]:
         values = costs_at(x)
@@ -444,12 +478,12 @@ def dominance_map(
 
     def tie_set(cut: _Cut, anchor: Technique) -> tuple[str, ...]:
         names = []
-        anchor_poly = anchor.cost_polynomial(Fraction(1))
+        anchor_poly = unit_cost[anchor.name]
         for tech in ts.techniques:
             if tech.labor == anchor.labor:
                 names.append(tech.name)
                 continue
-            dd = anchor_poly - tech.cost_polynomial(Fraction(1))
+            dd = anchor_poly - unit_cost[tech.name]
             if cut.exact is not None:
                 if dd(cut.exact) == 0:
                     names.append(tech.name)
@@ -463,13 +497,13 @@ def dominance_map(
     def boundary_from(cut: _Cut, anchor: Technique) -> Boundary:
         if cut.exact is not None:
             x = cut.exact
-            cost = anchor.cost_polynomial(wage)(x)
+            tie_cost = cost[anchor.name](x)
             cert = RootInterval(x - 1, x - 1, ODD)
-            return Boundary(x - 1, x - 1, cert, tie_set(cut, anchor), cost, cost)
+            return Boundary(x - 1, x - 1, cert, tie_set(cut, anchor), tie_cost, tie_cost)
         approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), cut.poly, APPROX_TOL)
         cert = RootInterval(cut.lo - 1, cut.hi - 1, ODD)
-        cost = anchor.cost_polynomial(wage)(approx_x)
-        return Boundary(None, approx_x - 1, cert, tie_set(cut, anchor), None, cost)
+        tie_cost = cost[anchor.name](approx_x)
+        return Boundary(None, approx_x - 1, cert, tie_set(cut, anchor), None, tie_cost)
 
     segments: list[Segment] = []
     boundaries: list[Boundary] = []
@@ -507,7 +541,9 @@ def dominance_map(
         )
 
     boundaries.sort(key=lambda b: b.interest_approx)
-    return DominanceMap((lo, hi), tuple(segments), tuple(boundaries))
+    return DominanceMap(
+        (lo, hi), tuple(segments), tuple(boundaries), tuple(tangencies)
+    )
 
 
 def detect_reswitching(
@@ -525,13 +561,7 @@ def detect_reswitching(
             recurring = name
             break
         seen.append(name)
-
-    reps, _ = _dedupe_identical(ts)
-    tangencies: list[Tangency] = []
-    for u, v in combinations(reps, 2):
-        tangencies.extend(pairwise_tangencies(u, v, lo, hi))
-    tangencies.sort(key=lambda t: t.interest_approx)
-    return ReswitchReport(recurring is not None, recurring, dom, tuple(tangencies))
+    return ReswitchReport(recurring is not None, recurring, dom, dom.tangencies)
 
 
 def cost_ratio_curve(

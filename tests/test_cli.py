@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+
+from reswitch.cli import MAX_GRID_POINTS, FlagError, parse_grid
 
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
 
@@ -146,6 +149,26 @@ class TestCurves:
     def test_figure3_needs_group(self):
         cp = run_cli("curves", "figure3", "--model", MODEL)
         assert cp.returncode == 2
+
+    def test_oversized_grid_rejected_before_allocating(self):
+        # 0 to 1 in steps of 10**-9 would be 10**9 + 1 points
+        start = time.monotonic()
+        cp = run_cli(
+            "curves", "figure2", "--model", MODEL, "--unit", "fraction",
+            "--grid", "0:1:1/1000000000",
+        )
+        elapsed = time.monotonic() - start
+        assert cp.returncode == 2
+        assert "1000000001 points" in cp.stderr
+        assert elapsed < 1
+
+    def test_grid_cap_is_exact(self):
+        last = MAX_GRID_POINTS - 1
+        grid = parse_grid(f"0:{last}:1", "fraction")
+        assert len(grid) == MAX_GRID_POINTS and grid[-1] == last
+        assert parse_grid("0:1:3/10", "fraction") == [0, F(3, 10), F(3, 5), F(9, 10)]
+        with pytest.raises(FlagError):
+            parse_grid(f"0:{last + 1}:1", "fraction")
 
 
 class TestAnalyze:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import bisect_root, oracle_root_value, scan_sign_roots
+import reswitch.polynomial as polynomial
 from reswitch import (
     EVEN,
     ODD,
@@ -15,6 +16,7 @@ from reswitch import (
     refine_root,
 )
 from reswitch.polynomial import (
+    _yun,
     cauchy_root_bound,
     count_distinct_roots,
     poly_gcd,
@@ -83,6 +85,34 @@ class TestStructure:
         factors = squarefree_decomposition(p)
         assert factors == [(poly(0, 1), 1), (poly(-2, 1), 2)]
         assert squarefree_part(p) == poly(0, 1) * poly(-2, 1)
+
+    def test_isolation_takes_one_gcd_on_squarefree_input(self, monkeypatch):
+        calls = []
+        original = polynomial.poly_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(polynomial, "poly_gcd", counting)
+        roots = isolate_real_roots(poly(-2, 0, 0, 1), F(-3), F(3))  # x^3 - 2
+        assert len(roots) == 1 and not roots[0].is_exact
+        assert len(calls) == 1
+
+    def test_yun_square_free_part_matches_gcd_quotient(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            factors = [poly(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+            p = poly(rng.choice((-3, 2, 5, F(1, 2))))
+            for f in factors + [rng.choice(factors)]:
+                p = p * f
+            sf, decomposition = _yun(p)
+            assert sf == squarefree_part(p)
+            product = poly(1)
+            for f, k in decomposition:
+                for _ in range(k):
+                    product = product * f
+            assert product == p.monic()
 
     def test_cauchy_bound_contains_roots(self):
         p = poly(-6, 11, -6, 1)

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from oracles import bisect_root, cheapest_names
+import reswitch.switching as switching
 from reswitch import (
     DivisionByZeroError,
     IdenticalTechniquesError,
@@ -232,6 +234,95 @@ class TestReswitchDetection:
                 found += 1
                 assert len(ts.positive_lags()) > 2
         assert found >= 1  # the property was actually exercised
+
+
+def _tangent_pair(rng: random.Random, horizon: int) -> list[tuple[F, ...]]:
+    """Two profiles whose cost difference is c x^j (x - r)^2, or
+    c x (x^2 - m)^2 at horizon 5, on top of a shared random base."""
+    base = [F(rng.randint(0, 3)) if rng.random() < 0.4 else F(0) for _ in range(horizon)]
+    a, b = list(base), list(base)
+    c = F(rng.randint(1, 3), rng.choice((1, 2)))
+    if horizon == 5 and rng.random() < 0.75:
+        m = rng.randint(2, 8)  # touches at x = sqrt(m), inside (1, 3)
+        a[0] += c * m * m
+        a[4] += c
+        b[2] += 2 * c * m
+    else:
+        r = F(rng.randint(5, 11), 4)  # touches at x = r, inside (1, 3)
+        s = rng.randint(2, horizon - 1)
+        a[s - 2] += c * r * r
+        a[s] += c
+        b[s - 1] += 2 * c * r
+    return [tuple(a), tuple(b)]
+
+
+def _menu_with_tangencies(rng: random.Random) -> TechnologySet:
+    """2-8 techniques over horizon 2-5 with some duplicate profiles and
+    planted tangencies."""
+    horizon = rng.randint(2, 5)
+    size = rng.randint(2, 8)
+    profiles: list[tuple[F, ...]] = []
+    while len(profiles) < size:
+        roll = rng.random()
+        if profiles and roll < 0.15:
+            profiles.append(rng.choice(profiles))
+        elif roll < 0.5 and horizon >= 3 and len(profiles) + 2 <= size:
+            profiles.extend(_tangent_pair(rng, horizon))
+        else:
+            prof = [F(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(horizon)]
+            if all(v == 0 for v in prof):
+                prof[rng.randrange(horizon)] = F(1)
+            profiles.append(tuple(prof))
+    return TechnologySet([Technique(f"t{k}", p) for k, p in enumerate(profiles)])
+
+
+class TestSharedPairAnalysis:
+    def _count_isolations(self, monkeypatch) -> list:
+        calls = []
+        original = switching.isolate_real_roots
+
+        def counting(p, *args, **kwargs):
+            calls.append(p)
+            return original(p, *args, **kwargs)
+
+        monkeypatch.setattr(switching, "isolate_real_roots", counting)
+        return calls
+
+    def test_champagne_pair_isolated_once(self, monkeypatch):
+        calls = self._count_isolations(monkeypatch)
+        report = detect_reswitching(samuelson_example())
+        assert report.reswitching
+        assert len(calls) == 1
+
+    def test_menu_isolates_each_pair_once(self, monkeypatch):
+        labors = [(0, 7, 0), (6, 0, 2), (1, 2, 3), (3, 1, 4), (2, 5, 1), (4, 4, 0)]
+        ts = TechnologySet([Technique(f"t{k}", l) for k, l in enumerate(labors)])
+        calls = self._count_isolations(monkeypatch)
+        detect_reswitching(ts)
+        assert len(calls) == 15
+        assert len(set(calls)) == 15
+
+    def test_tangencies_from_dominance_pass_match_pairwise(self):
+        planted = irrational = duplicated = 0
+        for seed in range(40):
+            ts = _menu_with_tangencies(random.Random(seed))
+            dom = dominance_map(ts)
+            report = detect_reswitching(ts)
+            assert report.map == dom
+            assert report.tangencies == dom.tangencies
+            reps = []
+            for tech in ts.techniques:
+                if all(tech.labor != rep.labor for rep in reps):
+                    reps.append(tech)
+            expected = [
+                t for u, v in combinations(reps, 2) for t in pairwise_tangencies(u, v)
+            ]
+            expected.sort(key=lambda t: t.interest_approx)
+            assert dom.tangencies == tuple(expected)
+            planted += len(expected)
+            irrational += sum(t.interest_exact is None for t in expected)
+            duplicated += len(reps) < len(ts)
+        assert planted >= 20 and irrational >= 5 and duplicated >= 10
 
 
 class TestCostRatioCurve:
