@@ -2,7 +2,8 @@
 reports, and falsification runs.
 
 Model files are JSON with every rational carried as a string ("7", "1/2",
-"0.25") so no binary float ever contaminates the pipeline:
+"0.25"); a JSON number is read exactly from its text, never through a binary
+float, and exponent notation ("1e5") is rejected in either form. A model:
 
     {"wage": "1", "output_price": "1",
      "techniques": [{"name": "a", "labor": ["0", "7", "0"]},
@@ -55,13 +56,15 @@ class FlagError(Exception):
 def load_model(path: str) -> TechnologySet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=parse_rational)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"model parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, ModelFormatError) as exc:  # digit limit, bad UTF-8, exponent
+        raise ModelFormatError(f"model parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ModelFormatError("model root must be a JSON object")
     wage = parse_rational(raw.get("wage", "1"))
@@ -203,8 +206,7 @@ def cmd_table2(args) -> int:
     lag = scalar_complement_lag(ts, group)
     f_poly = aggregate_polynomial(ts, group)
     seen: dict[Fraction, dict] = {}
-    for i in rates:
-        point = relative_price_curve(ts, group, [i])[0]
+    for point in relative_price_curve(ts, group, rates):
         if point.relative_price in seen:
             continue
         roots = interest_rates_for_relative_price(

@@ -26,7 +26,7 @@ from .errors import (
     NonScalarComplementError,
     NotAggregableError,
 )
-from .model import FactorPricePoint, Technique, TechnologySet
+from .model import FactorPricePoint, Technique, TechnologySet, _check_interest
 from .polynomial import (
     Polynomial,
     RootInterval,
@@ -187,20 +187,22 @@ def relative_price_curve(
 ) -> list[AggregateCurvePoint]:
     """Exact (interest, F/complement-rental, cost ratio) triples.
 
-    The cost ratio is group-using technique over the other one.
+    The cost ratio is group-using technique over the other one. F and the
+    complement rental are w * aggregate_polynomial(x) and w * x**lag at
+    x = 1 + i, so the wage cancels from the relative price exactly.
     """
     owner, other = _curve_techniques(ts, group)
     lag = scalar_complement_lag(ts, group)
-    bundle = _reference_bundle(ts, group)
+    f_poly = aggregate_polynomial(ts, group)
+    owner_cost = owner.cost_polynomial(ts.wage)
+    other_cost = other.cost_polynomial(ts.wage)
     out = []
     for i in interest_grid:
-        fp = ts.factor_prices(i)
-        f_value = sum(
-            (qty * fp.price_of_lag(t) for t, qty in bundle.items()), Fraction(0)
+        i = _check_interest(i)
+        x = 1 + i
+        out.append(
+            AggregateCurvePoint(i, f_poly(x) / x**lag, owner_cost(x) / other_cost(x))
         )
-        rel = f_value / fp.price_of_lag(lag)
-        ratio = owner.cost_at(ts.wage, i) / other.cost_at(ts.wage, i)
-        out.append(AggregateCurvePoint(Fraction(i), rel, ratio))
     return out
 
 

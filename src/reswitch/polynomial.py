@@ -14,7 +14,9 @@ The isolation routine combines three exact ingredients:
 
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
-case lo == hi).
+case lo == hi). One routine, `_narrow`, bisects every root bracket, here and
+in `switching`, on p itself at an odd-multiplicity root; a square-free part
+is computed only to bisect an even-multiplicity root (`_bisection_poly`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ZeroPolynomialError
 
@@ -320,25 +322,36 @@ class RootInterval:
         return (self.lo + self.hi) / 2
 
 
-def _shrink_excluding(
-    a: Fraction, b: Fraction, q: Polynomial, excluded: Sequence[Fraction]
+def _narrow(
+    p: Polynomial, a: Fraction, b: Fraction, more: Callable[[Fraction, Fraction], bool]
 ) -> tuple[Fraction, Fraction]:
-    """Bisect [a, b] (keeping q's sign change) until no excluded point remains.
+    """Bisect the bracket [a, b], across which p changes sign, keeping the
+    half where the sign changes, for as long as more(a, b) holds.
 
-    q has no rational roots, so every midpoint is a valid non-root pivot and
-    the loop terminates once the width drops below the distance from the root
-    to the nearest excluded point.
+    A midpoint that is a root of p comes back as (m, m).
     """
-    sa = q(a)
-    while any(a <= e <= b for e in excluded):
+    a_negative = p(a) < 0
+    while more(a, b):
         m = (a + b) / 2
-        sm = q(m)
-        assert sm != 0
-        if (sa < 0) != (sm < 0):
-            b = m
+        pm = p(m)
+        if pm == 0:
+            return m, m
+        if (pm < 0) == a_negative:
+            a = m
         else:
-            a, sa = m, sm
+            b = m
     return a, b
+
+
+def _bisection_poly(p: Polynomial, a: Fraction, b: Fraction) -> Polynomial:
+    """What to bisect a root bracket of p on: p when it changes sign across
+    [a, b], else (an even root) the square-free part, which always does."""
+    if p(a) * p(b) < 0:
+        return p
+    sf = squarefree_part(p)
+    if sf(a) * sf(b) >= 0:
+        raise ValueError("interval is not an isolating interval for p")
+    return sf
 
 
 def _isolate_irrational(
@@ -365,8 +378,8 @@ def _isolate_irrational(
         n = var(a) - var(b)
         if n == 0:
             continue
-        if n == 1:
-            out.append(_shrink_excluding(a, b, q, excluded))
+        if n == 1:  # q has no rational roots, so no midpoint is a root
+            out.append(_narrow(q, a, b, lambda a, b: any(a <= e <= b for e in excluded)))
             continue
         m = (a + b) / 2
         assert q(m) != 0
@@ -380,14 +393,12 @@ def _parity_of(k: int) -> str:
     return ODD if k % 2 else EVEN
 
 
-def isolate_real_roots(
-    p: Polynomial, lo: Fraction = Fraction(1), hi: Optional[Fraction] = None
+def _isolate(
+    p: Polynomial, lo: Fraction, hi: Optional[Fraction]
 ) -> list[RootInterval]:
-    """All distinct real roots of p in the half-open domain [lo, hi).
+    """All distinct real roots of p in the closed domain [lo, hi], sorted.
 
-    hi=None means unbounded above (a Cauchy bound caps the search). Exact
-    rational roots come back as point intervals; irrationals as sign-change
-    brackets. Parity is the multiplicity parity in p itself.
+    hi=None means unbounded above (a Cauchy bound caps the search).
     """
     if p.is_zero:
         raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
@@ -400,7 +411,7 @@ def isolate_real_roots(
     sf, factors = _yun(p)
 
     def in_domain(r: Fraction) -> bool:
-        return r >= lo and (hi is None or r < hi)
+        return r >= lo and (hi is None or r <= hi)
 
     rational = _rational_roots_of_squarefree(sf)
     deflated = sf
@@ -433,53 +444,40 @@ def isolate_real_roots(
     return found
 
 
+def isolate_real_roots(
+    p: Polynomial, lo: Fraction = Fraction(1), hi: Optional[Fraction] = None
+) -> list[RootInterval]:
+    """All distinct real roots of p in the half-open domain [lo, hi).
+
+    hi=None means unbounded above (a Cauchy bound caps the search). Exact
+    rational roots come back as point intervals; irrationals as sign-change
+    brackets. Parity is the multiplicity parity in p itself.
+    """
+    found = _isolate(p, lo, hi)
+    if found and hi is not None and found[-1].lo == hi:
+        found.pop()  # an exact root at hi, the only kind of root that can sit there
+    return found
+
+
 def isolate_roots_closed(
     p: Polynomial, lo: Fraction, hi: Fraction
 ) -> list[RootInterval]:
     """Distinct real roots in the closed interval [lo, hi]."""
-    out = isolate_real_roots(p, lo, hi)
-    if p(Fraction(hi)) == 0:
-        parity = root_parity_at(p, Fraction(hi))
-        out.append(RootInterval(Fraction(hi), Fraction(hi), parity))
-    return out
+    return _isolate(p, lo, Fraction(hi))
 
 
 def refine_root(interval: RootInterval, p: Polynomial, tol: Fraction) -> Fraction:
     """Rational approximation within tol of the root certified by `interval`.
 
-    Exact roots are returned unchanged; brackets are bisected on the
-    square-free part of p (which changes sign at every real root, including
-    even-multiplicity ones of p).
+    Exact roots are returned unchanged. A bracket is bisected on p itself
+    when p changes sign across it (odd multiplicity), otherwise on the
+    square-free part of p, which changes sign at every real root.
     """
     if interval.is_exact:
         return interval.lo
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    s = squarefree_part(p)
-    a, b = interval.lo, interval.hi
-    sa, sb = s(a), s(b)
-    if sa == 0 or sb == 0 or (sa < 0) == (sb < 0):
-        raise ValueError("interval is not an isolating interval for p")
-    while b - a >= tol:
-        m = (a + b) / 2
-        sm = s(m)
-        if sm == 0:
-            return m
-        if (sa < 0) != (sm < 0):
-            b = m
-        else:
-            a, sa = m, sm
+    s = _bisection_poly(p, interval.lo, interval.hi)
+    a, b = _narrow(s, interval.lo, interval.hi, lambda a, b: b - a >= tol)
     return (a + b) / 2
-
-
-def root_parity_at(p: Polynomial, point: Fraction) -> Optional[str]:
-    """Parity of p's root at an exact rational point, or None if not a root."""
-    if p.is_zero:
-        raise ZeroPolynomialError("zero polynomial has no isolated roots")
-    if p(point) != 0:
-        return None
-    for f, k in squarefree_decomposition(p):
-        if f(point) == 0:
-            return _parity_of(k)
-    raise AssertionError("unreachable: root must divide a square-free factor")

@@ -7,15 +7,25 @@ output boundary, with half-away-from-zero rounding.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ModelFormatError
 
+_EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", integer, or decimal strings ("1.25") exactly."""
+    """Parse "p/q", integer, or decimal strings ("1.25", ".5", "-3/4") exactly.
+
+    Exponent notation ("1e5") is rejected: its value can take far more digits
+    than its text, so "1e999999999" alone would build a billion-digit integer.
+    """
+    text = str(text).strip()
+    if _EXPONENT.search(text):
+        raise ModelFormatError(f"exponent notation is not accepted: {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelFormatError(f"not a rational number: {text!r}") from exc
 

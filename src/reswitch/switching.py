@@ -9,8 +9,9 @@ enter the dominance map's segments or boundaries; the same pass over the
 technique pairs collects them into `DominanceMap.tangencies`.
 
 Each pair's cost difference is isolated once per call into a `_PairTies`
-record (roots, in-domain ties, square-free part), which every consumer in
-that call reads; nothing is cached across calls.
+record (the difference, its roots and its in-domain ties), which every
+consumer in that call reads; nothing is cached across calls. Brackets are
+narrowed by `polynomial._narrow`, on the tie polynomial itself for odd ties.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .polynomial import (
     ODD,
     Polynomial,
     RootInterval,
+    _bisection_poly,
+    _narrow,
     cauchy_root_bound,
     count_distinct_roots,
     isolate_real_roots,
     poly_gcd,
     refine_root,
-    squarefree_part,
 )
 
 APPROX_TOL = Fraction(1, 10**9)
@@ -125,22 +127,21 @@ def _all_real_roots(p: Polynomial) -> list[RootInterval]:
 
 
 def _clip_bracket(
-    sf: Polynomial, lo_b: Fraction, hi_b: Fraction, xlo: Fraction, xhi: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Narrow a sign-change bracket until fully inside or outside [xlo, xhi]."""
-    sa = sf(lo_b)
-    while True:
-        if hi_b < xlo or lo_b > xhi:
-            return None
-        if xlo <= lo_b and hi_b <= xhi:
-            return lo_b, hi_b
-        m = (lo_b + hi_b) / 2
-        sm = sf(m)
-        assert sm != 0, "bracket midpoint cannot be a root"
-        if (sa < 0) != (sm < 0):
-            hi_b = m
-        else:
-            lo_b, sa = m, sm
+    d: Polynomial, iv: RootInterval, xlo: Fraction, xhi: Fraction
+) -> Optional[RootInterval]:
+    """Narrow a root bracket of d until fully inside or outside [xlo, xhi];
+    None when it ends up outside."""
+
+    def straddles(a: Fraction, b: Fraction) -> bool:
+        return not (b < xlo or a > xhi or (xlo <= a and b <= xhi))
+
+    lo_b, hi_b = iv.lo, iv.hi
+    if straddles(lo_b, hi_b):
+        poly = _bisection_poly(d, lo_b, hi_b)
+        lo_b, hi_b = _narrow(poly, lo_b, hi_b, straddles)
+    if hi_b < xlo or lo_b > xhi:
+        return None
+    return RootInterval(lo_b, hi_b, iv.parity)
 
 
 def _gap_sample(full: Sequence[RootInterval], k: int) -> Fraction:
@@ -167,11 +168,10 @@ def _difference(a: Technique, b: Technique) -> Polynomial:
 @dataclass(frozen=True)
 class _PairTies:
     """One pair's tie structure: the cost difference d = cost_a - cost_b at
-    unit wage, its square-free part, every real root of d, and the
-    (index, clipped root) pairs lying inside the closed interest domain."""
+    unit wage, every real root of d, and the (index, clipped root) pairs
+    lying inside the closed interest domain."""
 
     d: Polynomial
-    sf: Optional[Polynomial]  # None when every root is exact: nothing to bisect
     full: tuple[RootInterval, ...]
     in_domain: tuple[tuple[int, RootInterval], ...]
 
@@ -188,17 +188,16 @@ def _pair_ties(a: Technique, b: Technique, lo: Fraction, hi: Fraction) -> _PairT
         )
     xlo, xhi = 1 + lo, 1 + hi
     full = _all_real_roots(d)
-    sf = None if all(iv.is_exact for iv in full) else squarefree_part(d)
     in_domain: list[tuple[int, RootInterval]] = []
     for k, iv in enumerate(full):
         if iv.is_exact:
             if xlo <= iv.lo <= xhi:
                 in_domain.append((k, iv))
         else:
-            clipped = _clip_bracket(sf, iv.lo, iv.hi, xlo, xhi)
+            clipped = _clip_bracket(d, iv, xlo, xhi)
             if clipped is not None:
-                in_domain.append((k, RootInterval(clipped[0], clipped[1], iv.parity)))
-    return _PairTies(d, sf, tuple(full), tuple(in_domain))
+                in_domain.append((k, clipped))
+    return _PairTies(d, tuple(full), tuple(in_domain))
 
 
 def _to_interest(iv: RootInterval) -> RootInterval:
@@ -272,23 +271,17 @@ def pairwise_tangencies(
 
 
 class _Cut:
-    """A candidate dominance boundary: one certified tie point in x-space."""
+    """A candidate dominance boundary: one certified tie point in x-space, a
+    root of odd multiplicity of poly (a merged cut's gcd keeps the smaller of
+    two odd multiplicities), so poly changes sign across the bracket."""
 
-    __slots__ = ("poly", "exact", "lo", "hi", "_sf")
+    __slots__ = ("poly", "exact", "lo", "hi")
 
-    def __init__(
-        self,
-        poly: Polynomial,
-        exact: Optional[Fraction],
-        lo,
-        hi,
-        sf: Optional[Polynomial] = None,
-    ):
+    def __init__(self, poly: Polynomial, exact: Optional[Fraction], lo, hi):
         self.poly = poly  # vanishes at the point; basis for gcd tie tests
         self.exact = exact
         self.lo = lo
         self.hi = hi
-        self._sf = sf  # square-free part of poly, computed on first use if None
 
     @property
     def left(self) -> Fraction:
@@ -298,18 +291,10 @@ class _Cut:
     def right(self) -> Fraction:
         return self.exact if self.exact is not None else self.hi
 
-    def narrow(self) -> None:
-        assert self.exact is None
-        if self._sf is None:
-            self._sf = squarefree_part(self.poly)
-        sf = self._sf
-        m = (self.lo + self.hi) / 2
-        sm = sf(m)
-        assert sm != 0
-        if (sf(self.lo) < 0) != (sm < 0):
-            self.hi = m
-        else:
-            self.lo = m
+    def narrow(self, more) -> None:
+        """Bisect the bracket while more(lo, hi) holds; exact cuts stay put."""
+        if self.exact is None:
+            self.lo, self.hi = _narrow(self.poly, self.lo, self.hi, more)
 
     def overlaps(self, other: "_Cut") -> bool:
         return not (self.right < other.left or other.right < self.left)
@@ -320,9 +305,7 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
     same root (the gcd of the two defining polynomials keeps the root)."""
     exact_values = sorted({c.exact for c in cuts if c.exact is not None})
     for c in cuts:
-        if c.exact is None:
-            while any(c.lo <= e <= c.hi for e in exact_values):
-                c.narrow()
+        c.narrow(lambda a, b: any(a <= e <= b for e in exact_values))
     work = list(cuts)
     while True:
         for ci, cj in combinations(work, 2):
@@ -335,8 +318,7 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
             if ci.exact is not None or cj.exact is not None:
                 interval = ci if ci.exact is None else cj
                 point = ci.exact if ci.exact is not None else cj.exact
-                while interval.lo <= point <= interval.hi:
-                    interval.narrow()
+                interval.narrow(lambda a, b: a <= point <= b)
                 break
             g = poly_gcd(ci.poly, cj.poly)
             same = False
@@ -353,9 +335,9 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
                 work.remove(ci)
                 work.remove(cj)
                 work.append(merged)
-            else:
-                ci.narrow()
-                cj.narrow()
+            else:  # halve each once, then look again
+                for c in (ci, cj):
+                    c.narrow(lambda a, b, width=c.hi - c.lo: b - a == width)
             break
         else:
             break
@@ -366,16 +348,14 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
 def _separate_strictly(cuts: list[_Cut], xlo: Fraction, xhi: Fraction) -> None:
     """Open strict gaps between consecutive cuts and keep non-exact cuts off
     the domain edges, so every gap admits a rational interior sample."""
-    for k in range(len(cuts) - 1):
-        while cuts[k].right >= cuts[k + 1].left:
-            target = cuts[k] if cuts[k].exact is None else cuts[k + 1]
-            target.narrow()
+    for left, right in zip(cuts, cuts[1:]):
+        if left.exact is None:
+            left.narrow(lambda a, b: b >= right.left)
+        else:
+            right.narrow(lambda a, b: left.right >= a)
     if cuts:
-        first, last = cuts[0], cuts[-1]
-        while first.exact is None and first.lo <= xlo:
-            first.narrow()
-        while last.exact is None and last.hi >= xhi:
-            last.narrow()
+        cuts[0].narrow(lambda a, b: a <= xlo)
+        cuts[-1].narrow(lambda a, b: b >= xhi)
 
 
 def _dedupe_identical(ts: TechnologySet) -> tuple[list[Technique], dict[str, list[str]]]:
@@ -423,7 +403,7 @@ def dominance_map(
             if iv.is_exact:
                 cuts.append(_Cut(ties.d, iv.lo, iv.lo, iv.lo))
             else:
-                cuts.append(_Cut(ties.d, None, iv.lo, iv.hi, ties.sf))
+                cuts.append(_Cut(ties.d, None, iv.lo, iv.hi))
         tangencies.extend(_tangencies(u, v, ties))
     tangencies.sort(key=lambda t: t.interest_approx)
     cuts = _merge_or_separate(cuts)

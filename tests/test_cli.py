@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from reswitch.cli import MAX_GRID_POINTS, FlagError, parse_grid
+from reswitch.cli import MAX_GRID_POINTS, FlagError, load_model, parse_grid
 
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
 
@@ -224,6 +225,41 @@ class TestAnalyze:
         assert "Traceback" not in cp.stderr
 
 
+class TestGoldenOutputs:
+    """sha256 of stdout on the champagne model; any changed byte fails."""
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("analyze", "--model", MODEL),
+                "f316b8cc1b596164d76430b6644ab91789014e2999c907ee6f6ce7da03731139",
+            ),
+            (
+                ("table1", "--model", MODEL, "--rates", "150,125,100,75,50,25,0", "--exact"),
+                "8b20b0794b0b273dba41bbfdb808d98a64c6408b6dd7bad5eed805c782d46802",
+            ),
+            (
+                ("table2", "--model", MODEL, "--group", "1,3",
+                 "--rates", "0,10,20,25,100/3,50,175", "--exact"),
+                "6b0bfb0bacecd172e16e33cf20bb23ec6cae54f488efe016c735b3257dccab1f",
+            ),
+            (
+                ("curves", "figure2", "--model", MODEL, "--exact"),
+                "b312c13d5ba790afa66d52788009ca62bc1869fff8024f491982c71b4617a16d",
+            ),
+            (
+                ("curves", "figure3", "--model", MODEL, "--group", "1,3", "--exact"),
+                "807a81a7e6a1aff4a1324c1a65b190c5ece49b204b90819d3614ee5c9af2d558",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, args, digest):
+        cp = run_cli(*args)
+        assert cp.returncode == 0, cp.stderr
+        assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",
@@ -239,6 +275,20 @@ class TestUsageErrors:
         assert cp.returncode == 2
         assert "--precision" in cp.stderr
         assert cp.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("table1", "--model", MODEL, "--rates", "1e1"),
+            ("curves", "figure2", "--model", MODEL, "--grid", "0:5E1:1"),
+            ("analyze", "--model", MODEL, "--domain", "0:2e-1"),
+        ],
+    )
+    def test_exponent_flags(self, args):
+        cp = run_cli(*args)
+        assert cp.returncode == 2
+        assert "exponent" in cp.stderr
+        assert "Traceback" not in cp.stderr
 
     @pytest.mark.parametrize(
         "flags",
@@ -289,6 +339,42 @@ class TestModelDiagnostics:
         cp = run_cli("table1", "--model", str(bad), "--rates", "0")
         assert cp.returncode == 1
         assert "unique" in cp.stderr
+
+    def test_json_number_read_exactly(self, tmp_path):
+        # the nearest binary double to 0.1, written out in full: a float
+        # round trip would read it as 1/10
+        text = "0.1000000000000000055511151231257827"
+        model = tmp_path / "number.json"
+        model.write_text('{"techniques": [{"name": "a", "labor": [%s, 2]}]}' % text)
+        (tech,) = load_model(str(model)).techniques
+        assert tech.labor == (F(text), F(2))
+        assert tech.labor[0] != F(1, 10)
+
+    def test_huge_json_integer(self, tmp_path):
+        model = tmp_path / "huge.json"
+        model.write_text(
+            '{"techniques": [{"name": "a", "labor": [%s]}]}' % ("7" * 5000)
+        )
+        cp = run_cli("table1", "--model", str(model), "--rates", "0")
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("error:")
+        assert "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize("cell", ['"1e1"', "1e1", "2.5E-1"])
+    def test_exponent_cells(self, tmp_path, cell):
+        model = tmp_path / "exponent.json"
+        model.write_text('{"techniques": [{"name": "a", "labor": [%s]}]}' % cell)
+        cp = run_cli("table1", "--model", str(model), "--rates", "0")
+        assert cp.returncode == 1
+        assert "exponent" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    def test_non_string_name_rejected(self, tmp_path):
+        model = tmp_path / "name.json"
+        model.write_text('{"techniques": [{"name": 1.5, "labor": ["1"]}]}')
+        cp = run_cli("table1", "--model", str(model), "--rates", "0")
+        assert cp.returncode == 1
+        assert "techniques[0].name" in cp.stderr
 
     def test_help_runs(self):
         cp = run_cli("--help")

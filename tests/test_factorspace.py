@@ -5,6 +5,7 @@ import pytest
 
 from oracles import bisect_root, equal_price_pairs, factor_grid, factor_space_violations
 from reswitch import (
+    DomainError,
     FactorGroup,
     GeneratorConfig,
     NoRootError,
@@ -117,6 +118,25 @@ class TestRelativePriceCurve:
         grid = [F(k, 17) for k in range(0, 35)]
         for p in relative_price_curve(TS, G13, grid):
             assert p.cost_ratio * 7 == p.relative_price
+
+    def test_matches_factor_price_definition(self):
+        # F priced input by input over the complement rental, and the cost
+        # ratio at the model wage, on a model whose curve is not the collapse
+        ts = TechnologySet(
+            [Technique("g", (F(3, 2), 0, F(5, 4))), Technique("h", (3, F(1, 3), F(5, 2)))],
+            wage=F(5, 3),
+        )
+        group = FactorGroup.of(1, 3)
+        grid = [F(-9, 10), F(-1, 3), F(0), F(2, 7), F(1), F(5, 2)]
+        for point in relative_price_curve(ts, group, grid):
+            fp = ts.factor_prices(point.interest)
+            g, h = ts.techniques
+            assert point.relative_price == aggregate_price(ts, group, fp) / fp.price_of_lag(2)
+            assert point.cost_ratio == g.cost_at(ts.wage, point.interest) / h.cost_at(
+                ts.wage, point.interest
+            )
+        with pytest.raises(DomainError):
+            relative_price_curve(ts, group, [F(0), F(-1)])
 
     def test_wage_does_not_move_the_curve(self):
         waged = TechnologySet(list(TS.techniques), wage=F(5, 3))

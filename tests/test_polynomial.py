@@ -13,6 +13,7 @@ from reswitch import (
     RootInterval,
     ZeroPolynomialError,
     isolate_real_roots,
+    isolate_roots_closed,
     refine_root,
 )
 from reswitch.polynomial import (
@@ -139,6 +140,15 @@ class TestIsolation:
         assert len(isolate_real_roots(p, F(2), F(3))) == 1  # root at 3 excluded
         assert len(isolate_real_roots(p, F(2), F(7, 2))) == 2
 
+    def test_closed_interval_reports_parity_at_hi(self):
+        p = poly(-1, 1) * poly(-2, 1) * poly(-2, 1)  # (x-1)(x-2)^2
+        roots = isolate_roots_closed(p, F(0), F(2))
+        assert [(r.lo, r.hi, r.parity) for r in roots] == [
+            (F(1), F(1), ODD),
+            (F(2), F(2), EVEN),
+        ]
+        assert [r.lo for r in isolate_real_roots(p, F(0), F(2))] == [F(1)]
+
     def test_even_parity_flagged(self):
         p = poly(0, 1) * poly(-2, 1) * poly(-2, 1)
         roots = isolate_real_roots(p, F(-1), None)
@@ -220,6 +230,44 @@ class TestRefinement:
             assert refine_root(double, p, F(1, 100)) == pytest.approx(2)
         else:
             assert refine_root(double, p, F(1, 100)) == 2
+
+    def test_odd_bracket_refined_without_gcd(self, monkeypatch):
+        p = poly(-2, 0, 1)  # x^2 - 2
+        (root,) = isolate_real_roots(p, F(1), F(2))
+        calls = []
+        original = polynomial.poly_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(polynomial, "poly_gcd", counting)
+        refine_root(root, p, F(1, 10**9))
+        assert calls == []
+
+    def test_refinement_matches_bisection_oracle(self):
+        # p = c * q**k * r with q a quadratic with two real roots; at an
+        # irrational root of q the oracle bisects q itself, which changes
+        # sign like any square-free multiple of it across an isolating bracket
+        rng = random.Random(404)
+        odd = even = 0
+        for _ in range(60):
+            q = poly(-rng.choice((2, 3, 5, 6, 7, 11)), rng.randint(-2, 2), 1)
+            k = rng.choice((1, 2, 3))
+            rest = poly(rng.choice((-3, 1, 2))) * poly(rng.randint(-4, 4), 1)
+            p = rest
+            for _ in range(k):
+                p = p * q
+            tol = F(1, rng.choice((10**3, 10**9, 2**40)))
+            for iv in isolate_real_roots(p, F(-10), F(10)):
+                if iv.is_exact or q(iv.lo) * q(iv.hi) >= 0:
+                    continue  # exact, or a root of the linear factor
+                expected = bisect_root(q, iv.lo, iv.hi, tol)
+                assert refine_root(iv, p, tol) == expected
+                assert iv.parity == (ODD if k % 2 else EVEN)
+                odd += k % 2
+                even += 1 - k % 2
+        assert odd >= 20 and even >= 10
 
     def test_sign_change_across_odd_interval(self):
         # round-trip invariant: odd certificates always show a sign change

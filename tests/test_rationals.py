@@ -20,6 +20,12 @@ def test_parse_rejects_garbage():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("text", ["1e1", "5E1", "2e-1", ".5e1", "1.e+1"])
+def test_parse_rejects_exponents(text):
+    with pytest.raises(ModelFormatError, match="exponent"):
+        parse_rational(text)
+
+
 def test_half_away_from_zero():
     assert round_half_away(F(354375, 10000), 2) == F(3544, 100)  # 35.4375 -> 35.44
     assert round_half_away(F(2121875, 100000), 2) == F(2122, 100)  # 21.21875 -> 21.22

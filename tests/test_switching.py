@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracles import bisect_root, cheapest_names
+import reswitch.polynomial as polynomial
 import reswitch.switching as switching
 from reswitch import (
     DivisionByZeroError,
@@ -301,6 +302,24 @@ class TestSharedPairAnalysis:
         detect_reswitching(ts)
         assert len(calls) == 15
         assert len(set(calls)) == 15
+
+    def test_odd_ties_bisected_without_square_free_part(self, monkeypatch):
+        # the tie at x = 2 + sqrt(2) is a simple root: every bracket of this
+        # pair is narrowed on the cost difference itself
+        calls = []
+        original = polynomial.squarefree_part
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(polynomial, "squarefree_part", counting)
+        monkeypatch.setattr(switching, "squarefree_part", counting, raising=False)
+        ts = TechnologySet([Technique("u", (0, 4, 0)), Technique("v", (2, 0, 1))])
+        report = detect_reswitching(ts, F(0), F(3))
+        (boundary,) = report.map.boundaries
+        assert boundary.interest_exact is None
+        assert calls == []
 
     def test_tangencies_from_dominance_pass_match_pairwise(self):
         planted = irrational = duplicated = 0
