@@ -33,6 +33,7 @@ from .polynomial import (
     isolate_roots_closed,
     refine_root,
 )
+from .rationals import integer_root
 
 MIN_REFINE_TOL = Fraction(1, 10**12)
 
@@ -299,18 +300,8 @@ def curve_minimum(
 def _integer_nth_root(n: int, k: int) -> Optional[int]:
     if n < 0:
         return None
-    if n in (0, 1):
-        return n
-    low, high = 0, 1
-    while high**k <= n:
-        high *= 2
-    while low + 1 < high:
-        mid = (low + high) // 2
-        if mid**k <= n:
-            low = mid
-        else:
-            high = mid
-    return low if low**k == n else None
+    root = integer_root(n, k)
+    return root if root**k == n else None
 
 
 def symmetric_interest_pairs(

@@ -15,6 +15,7 @@ stays empty unless the property itself is genuinely violated.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,27 +204,65 @@ class FalsificationReport:
 
 def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
     """Brute-force cheapest-technique scan against the dominance map,
-    skipping points inside a guard band around each boundary."""
+    skipping points inside a guard band around each boundary.
+
+    The scan runs on Python ints. Grid point k is x_k = (x0 + k*dx) / scale,
+    and every cost polynomial is multiplied by one positive integer (the
+    common denominator of all coefficients times scale**degree), so the
+    homogenized integer costs have the same argmin sets as the Fraction
+    costs. Each guard band and each segment's guarded span becomes a range
+    of k by one exact ceil and floor; the first segment holding k wins.
+    """
+    points = GRID_CHECK_POINTS
+    step = (hi - lo) / points
+    start = 1 + lo
+    scale = math.lcm(start.denominator, step.denominator)
+    x0, dx = int(start * scale), int(step * scale)
+
+    def k_range(a: Fraction, b: Fraction) -> range:
+        """Grid indices k in [0, points] with a <= lo + k*step <= b."""
+        first = max(0, math.ceil((a - lo) / step))
+        return range(first, min(points, math.floor((b - lo) / step)) + 1)
+
+    skipped = bytearray(points + 1)
+    for b in dom.boundaries:
+        for k in k_range(b.interest_approx - _GRID_GUARD, b.interest_approx + _GRID_GUARD):
+            skipped[k] = 1
+    owner: list[Optional[str]] = [None] * (points + 1)
+    for seg in dom.segments:
+        for k in k_range(seg.lo - _GRID_GUARD, seg.hi + _GRID_GUARD):
+            if owner[k] is None:
+                owner[k] = seg.winner
+
+    coeffs = {t.name: t.cost_polynomial(ts.wage).coeffs for t in ts.techniques}
+    degree = max(len(cs) for cs in coeffs.values()) - 1
+    denom = math.lcm(*(c.denominator for cs in coeffs.values() for c in cs))
+    # highest power first, coefficient of x**j times denom * scale**(degree - j)
+    rows = {
+        name: [
+            (cs[j] * denom).numerator * scale ** (degree - j) if j < len(cs) else 0
+            for j in range(degree, -1, -1)
+        ]
+        for name, cs in coeffs.items()
+    }
+
+    def value(row: list[int], x: int) -> int:
+        acc = 0
+        for c in row:
+            acc = acc * x + c
+        return acc
+
     mismatches = 0
-    step = (hi - lo) / GRID_CHECK_POINTS
-    guards = [b.interest_approx for b in dom.boundaries]
-    polys = {t.name: t.cost_polynomial(ts.wage) for t in ts.techniques}
-    for k in range(GRID_CHECK_POINTS + 1):
-        i = lo + k * step
-        if any(abs(i - g) <= _GRID_GUARD for g in guards):
+    for k in range(points + 1):
+        if skipped[k]:
             continue
-        costs = {name: p(1 + i) for name, p in polys.items()}
-        best = min(costs.values())
-        winners = {n for n, c in costs.items() if c == best}
-        segment = None
-        for seg in dom.segments:
-            if seg.lo - _GRID_GUARD <= i <= seg.hi + _GRID_GUARD:
-                segment = seg
-                break
-        if segment is None:
+        winner = owner[k]
+        if winner not in rows:  # no segment covers the point, or no such technique
             mismatches += 1
             continue
-        if segment.winner not in winners:
+        x = x0 + k * dx
+        best = value(rows[winner], x)
+        if any(value(row, x) < best for name, row in rows.items() if name != winner):
             mismatches += 1
     return mismatches
 

@@ -152,7 +152,8 @@ class TechnologySet:
 
     Wage defaults to 1 (paid at period start) and the output price to 1
     (output is the numeraire); both stay explicit so homogeneity properties
-    can be exercised.
+    can be exercised. The wage must be positive: at a zero wage every
+    technique costs nothing and none is ever cheapest.
     """
 
     def __init__(
@@ -170,6 +171,8 @@ class TechnologySet:
         horizon = max(t.horizon for t in techs)
         self.techniques: tuple[Technique, ...] = tuple(t.padded(horizon) for t in techs)
         self.wage = Fraction(wage)
+        if self.wage <= 0:
+            raise ModelFormatError(f"wage must be positive, got {self.wage}")
         self.output_price = Fraction(output_price)
         self.horizon = horizon
 

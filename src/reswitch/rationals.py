@@ -30,6 +30,20 @@ def parse_rational(text: str) -> Fraction:
         raise ModelFormatError(f"not a rational number: {text!r}") from exc
 
 
+def integer_root(n: int, k: int) -> int:
+    """The floor of the k-th root of a nonnegative int n, by bisection."""
+    low, high = 0, 1
+    while high**k <= n:
+        high *= 2
+    while low + 1 < high:
+        mid = (low + high) // 2
+        if mid**k <= n:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 def round_half_away(value: Fraction, places: int = 0) -> Fraction:
     """Round to `places` decimals, ties away from zero (35.4375 -> 35.44)."""
     scale = Fraction(10) ** places

@@ -3,12 +3,14 @@
 Everything here is deliberately written from scratch on stdlib integers and
 fractions, without touching the package's own isolation or dominance code:
 dense sign scans with finite differences, plain bisection, direct
-cheapest-technique evaluation, and an exact-grid re-check of the
-factor-price collapse.
+cheapest-technique evaluation and a grid scan of a dominance map against
+it, an exact-grid re-check of the factor-price collapse, and the
+floating-point log-spaced price grid.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -123,6 +125,34 @@ def cheapest_names(labors: dict, wage: Fraction, interest: Fraction) -> set:
     return {n for n, c in costs.items() if c == best}
 
 
+def grid_mismatches(
+    labors, wage, segments, boundaries, lo, hi, points=300, guard=Fraction(1, 10**6)
+):
+    """Cheapest-technique scan of a dominance map on an exact uniform grid.
+
+    labors maps technique names to dated-labor vectors, segments lists
+    (lo, hi, winner) in map order and boundaries the approximate boundary
+    rates. At each of the points + 1 evenly spaced rates on [lo, hi] that is
+    farther than `guard` from every boundary, the first segment whose span
+    widened by `guard` holds the rate must name a cheapest technique; the
+    count of rates where none does (or no segment holds the rate) is
+    returned.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    mismatches = 0
+    for k in range(points + 1):
+        i = lo + (hi - lo) * Fraction(k, points)
+        if any(abs(i - Fraction(g)) <= guard for g in boundaries):
+            continue
+        owner = next(
+            (w for a, b, w in segments if Fraction(a) - guard <= i <= Fraction(b) + guard),
+            None,
+        )
+        if owner not in cheapest_names(labors, wage, i):
+            mismatches += 1
+    return mismatches
+
+
 def _exact_root(value: int, k: int):
     """The integer k-th root of a nonnegative int by bisection, or None if
     value is not a perfect k-th power."""
@@ -231,3 +261,22 @@ def equal_price_pairs(bundle, complement_lag, xs):
         if min(xs) <= partner <= max(xs) and partner != x:
             pairs.append((x, partner))
     return pairs
+
+
+def log_grid(points, lo, hi):
+    """The price grid by its floating-point definition: 10**(log10 lo + idx
+    * (log10 hi - log10 lo) / (points - 1)), rounded to four decimals, with
+    repeated values dropped."""
+    points = max(points, 2)
+    lo_f, hi_f = float(lo), float(hi)
+    out = []
+    for idx in range(points):
+        exponent = math.log10(lo_f) + idx * (math.log10(hi_f) - math.log10(lo_f)) / (
+            points - 1
+        )
+        approx = Fraction(round(10**exponent * 10_000), 10_000)
+        if approx <= 0:
+            approx = Fraction(1, 10_000)
+        if not out or approx > out[-1]:
+            out.append(approx)
+    return out

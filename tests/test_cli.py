@@ -224,9 +224,35 @@ class TestAnalyze:
         assert cp.returncode == code
         assert "Traceback" not in cp.stderr
 
+    @pytest.mark.parametrize("wage", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("analyze",),
+            ("table2", "--group", "1,3", "--rates", "0,50"),
+            ("curves", "figure3", "--group", "1,3"),
+        ],
+    )
+    def test_non_positive_wage_rejected(self, tmp_path, wage, args):
+        model = tmp_path / "wage.json"
+        model.write_text(
+            '{"wage": "%s", "techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
+            ' {"name": "b", "labor": ["6", "0", "2"]}]}' % wage
+        )
+        cmd = [sys.executable, "-m", "reswitch", *args, "--model", str(model)]
+        start = time.monotonic()
+        cp = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+        assert time.monotonic() - start < 1
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("error:") and "wage" in cp.stderr
+        assert cp.stderr.count("\n") == 1
+        assert "Traceback" not in cp.stderr
+        assert cp.stdout == ""
+
 
 class TestGoldenOutputs:
-    """sha256 of stdout on the champagne model; any changed byte fails."""
+    """sha256 of stdout on the champagne model and of two falsify reports;
+    any changed byte fails."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -251,6 +277,15 @@ class TestGoldenOutputs:
             (
                 ("curves", "figure3", "--model", MODEL, "--group", "1,3", "--exact"),
                 "807a81a7e6a1aff4a1324c1a65b190c5ece49b204b90819d3614ee5c9af2d558",
+            ),
+            (
+                ("falsify", "--seed", "1", "--trials", "1000"),
+                "0dce47f3889eb70b29dd97b33a8a7cfd5e6ee36174a5e941e6fe20efd7b90fc4",
+            ),
+            (
+                ("falsify", "--seed", "7", "--trials", "300", "--structure", "free",
+                 "--horizon-max", "6"),
+                "b866f7fcbf36bfaf44fd302edd185e7c9cb8c94ebaaf1423b9873ee57b15431d",
             ),
         ],
     )

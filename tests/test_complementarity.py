@@ -13,7 +13,10 @@ from reswitch import (
     find_complementary_pair,
     samuelson_example,
 )
+from reswitch.complementarity import GRID_HI, GRID_LO, _grid_values
 from reswitch.harness import GeneratorConfig, generate_technology
+
+from oracles import log_grid
 
 TS = samuelson_example()
 
@@ -173,6 +176,15 @@ class TestGridFallback:
                 if self.oracle_has_witness(ts, j, k):
                     assert got is not None
         assert exercised >= 1
+
+    def test_exact_grid_matches_float_definition(self):
+        for points in range(2, 51):
+            assert list(_grid_values(points, GRID_LO, GRID_HI)) == log_grid(
+                points, GRID_LO, GRID_HI
+            )
+
+    def test_grid_is_memoised(self):
+        assert _grid_values(37, GRID_LO, GRID_HI) is _grid_values(37, GRID_LO, GRID_HI)
 
 
 class TestHattaNecessity:

@@ -1,15 +1,22 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from reswitch import (
     GeneratorConfig,
+    Technique,
+    TechnologySet,
     detect_reswitching,
     generate_technology,
     run_falsification,
+    samuelson_example,
     trial_seed,
 )
+from reswitch.harness import _grid_mismatches
+
+from oracles import grid_mismatches
 
 
 class TestGenerator:
@@ -91,3 +98,72 @@ class TestRun:
         cfg = GeneratorConfig(seed=2, trials=30, domain_lo=F(0), domain_hi=F(3))
         report = run_falsification(cfg)
         assert report.counterexamples == ()
+
+
+def oracle_count(ts, dom, lo, hi):
+    return grid_mismatches(
+        {t.name: t.labor for t in ts},
+        ts.wage,
+        [(seg.lo, seg.hi, seg.winner) for seg in dom.segments],
+        [b.interest_approx for b in dom.boundaries],
+        lo,
+        hi,
+    )
+
+
+def swapped_winners(dom, ts):
+    """The map with each segment won by the next technique of the menu."""
+    names = ts.names
+    following = {n: names[(k + 1) % len(names)] for k, n in enumerate(names)}
+    return replace(
+        dom, segments=tuple(replace(seg, winner=following[seg.winner]) for seg in dom.segments)
+    )
+
+
+class TestGridCheck:
+    """The integer grid scan against a Fraction scan built on cheapest_names."""
+
+    @pytest.mark.parametrize("structure", ["disjoint", "free"])
+    @pytest.mark.parametrize("lo, hi", [(F(0), F(2)), (F(-1, 3), F(5, 7))])
+    def test_matches_oracle_on_seeded_trials(self, structure, lo, hi):
+        cfg = GeneratorConfig(
+            seed=1, trials=8, structure=structure, horizon_min=2, horizon_max=6,
+            domain_lo=lo, domain_hi=hi,
+        )
+        swapped_total = 0
+        horizons = set()
+        for idx in range(cfg.trials):
+            ts = generate_technology(cfg, idx)
+            horizons.add(ts.horizon)
+            if idx % 2:
+                ts = TechnologySet(ts.techniques, wage=F(5, 3))
+            dom = detect_reswitching(ts, lo, hi).map
+            assert _grid_mismatches(ts, dom, lo, hi) == oracle_count(ts, dom, lo, hi) == 0
+            swapped = swapped_winners(dom, ts)
+            count = _grid_mismatches(ts, swapped, lo, hi)
+            assert count == oracle_count(ts, swapped, lo, hi)
+            swapped_total += count
+        assert swapped_total > 0
+        assert horizons == {2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("lo, hi", [(F(0), F(2)), (F(-1, 3), F(5, 7))])
+    def test_ties_gaps_overlaps_and_unknown_winners(self, lo, hi):
+        # on [0, 2] both switch points 1/2 and 1 are grid points, where the
+        # guard band and the first of two overlapping segment spans decide
+        menu = TechnologySet([*samuelson_example().techniques, Technique("twin", (0, 7, 0))])
+        dom = detect_reswitching(menu, lo, hi).map
+        first, *rest = dom.segments
+        maps = [
+            dom,
+            swapped_winners(dom, menu),
+            replace(dom, segments=tuple(rest)),
+            replace(dom, segments=()),
+            replace(
+                dom,
+                segments=(first, *(replace(seg, winner="absent") for seg in rest)),
+                boundaries=(),
+            ),
+        ]
+        counts = [_grid_mismatches(menu, m, lo, hi) for m in maps]
+        assert counts == [oracle_count(menu, m, lo, hi) for m in maps]
+        assert counts[0] == 0 and all(counts[1:])

@@ -168,6 +168,11 @@ class TestTechnologySet:
         with pytest.raises(ModelFormatError):
             TechnologySet([])
 
+    @pytest.mark.parametrize("wage", [F(0), F(-1), F(-1, 3)])
+    def test_non_positive_wage_rejected(self, wage):
+        with pytest.raises(ModelFormatError, match="wage"):
+            TechnologySet([A, B], wage=wage)
+
     def test_mixed_horizons_pad(self):
         ts = TechnologySet([Technique("s", (1,)), B])
         assert ts.get("s").labor == (1, 0, 0)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from reswitch import ModelFormatError, format_fixed, parse_rational, round_half_away
+from reswitch.rationals import integer_root
 
 
 def test_parse_forms():
@@ -24,6 +25,13 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_exponents(text):
     with pytest.raises(ModelFormatError, match="exponent"):
         parse_rational(text)
+
+
+def test_integer_root_is_floor_of_root():
+    for k in range(1, 8):
+        for n in list(range(300)) + [10**40 + 7, 3**(5 * k), 3**(5 * k) - 1]:
+            root = integer_root(n, k)
+            assert root**k <= n < (root + 1) ** k
 
 
 def test_half_away_from_zero():
