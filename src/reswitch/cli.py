@@ -31,17 +31,14 @@ from .complementarity import find_complementary_pair
 from .errors import DomainError, ModelFormatError, ReswitchError
 from .factorspace import (
     FactorGroup,
-    aggregate_polynomial,
     curve_minimum,
-    interest_rates_for_relative_price,
+    refined_interest_rates,
     relative_price_curve,
-    scalar_complement_lag,
     support_groups,
     verify_single_switch,
 )
 from .harness import GeneratorConfig, run_falsification
 from .model import Technique, TechnologySet
-from .polynomial import Polynomial, RootInterval, refine_root
 from .rationals import format_fixed, parse_rational
 from .switching import cost_ratio_curve, detect_reswitching, pairwise_switch_points
 
@@ -68,7 +65,11 @@ def load_model(path: str) -> TechnologySet:
     if not isinstance(raw, dict):
         raise ModelFormatError("model root must be a JSON object")
     wage = parse_rational(raw.get("wage", "1"))
+    # output is the numeraire, so no command reads output_price; the key is
+    # accepted for the model files that carry it, and must be positive
     price = parse_rational(raw.get("output_price", "1"))
+    if price <= 0:
+        raise ModelFormatError(f"output_price must be positive, got {price}")
     entries = raw.get("techniques")
     if not isinstance(entries, list) or not entries:
         raise ModelFormatError("model field 'techniques' must be a nonempty list")
@@ -90,7 +91,7 @@ def load_model(path: str) -> TechnologySet:
             except ModelFormatError as exc:
                 raise ModelFormatError(f"{where}.labor[{fpos}]: {exc}") from exc
         techniques.append(Technique(name, values))
-    return TechnologySet(techniques, wage=wage, output_price=price)
+    return TechnologySet(techniques, wage=wage)
 
 
 def _rate_to_interest(text: str, unit: str) -> Fraction:
@@ -203,27 +204,17 @@ def cmd_table2(args) -> int:
     domain_hi = max([Fraction(2)] + rates)
 
     # one row per distinct relative price; preimages fill in the other rates
-    lag = scalar_complement_lag(ts, group)
-    f_poly = aggregate_polynomial(ts, group)
+    tol = Fraction(1, 10 ** (places + 6))
     seen: dict[Fraction, dict] = {}
     for point in relative_price_curve(ts, group, rates):
         if point.relative_price in seen:
             continue
-        roots = interest_rates_for_relative_price(
-            ts, group, point.relative_price, Fraction(0), domain_hi
+        preimages = refined_interest_rates(
+            ts, group, point.relative_price, Fraction(0), domain_hi, tol
         )
-        cleared = f_poly - point.relative_price * Polynomial.monomial(lag)
-        preimages = []
-        for r in roots:
-            if r.is_exact:
-                preimages.append(r.lo)
-            else:
-                x_iv = RootInterval(r.lo + 1, r.hi + 1, r.parity)
-                refined = refine_root(x_iv, cleared, Fraction(1, 10 ** (places + 6)))
-                preimages.append(refined - 1)
         seen[point.relative_price] = {
             "relative_price": format_fixed(point.relative_price, places),
-            "interest": sorted(preimages),
+            "interest": sorted(rate for _, rate in preimages),
             "ratio": point.cost_ratio,
             "marker": "**" if point.cost_ratio == 1 else "",
             "sort": point.relative_price,
@@ -355,8 +346,11 @@ def cmd_analyze(args) -> int:
             theorem["crossing"] = {
                 "relative_price": str(verdict.crossing.relative_price),
                 "interest_preimages": [
-                    str(r.lo) if r.is_exact else format_fixed(r.midpoint, 6)
-                    for r in verdict.crossing.interest_preimages
+                    str(r.lo) if r.is_exact else format_fixed(approx, 6)
+                    for r, approx in zip(
+                        verdict.crossing.interest_preimages,
+                        verdict.crossing.interest_approx,
+                    )
                 ],
             }
         if verdict.single_switch is True:

@@ -8,7 +8,8 @@ by the rental of a single complementary input yields a relative factor
 price, and plotting the technique cost ratio against it collapses the
 multi-valued interest-rate picture into a single-valued, strictly monotone
 curve with at most one switch. `verify_single_switch` certifies that collapse
-by an exact polynomial identity alone; it evaluates no grid.
+by an exact polynomial identity alone; it evaluates no grid, and it isolates
+the crossing's interest preimages only when a caller reads them.
 
 Naming note: the aggregate combines the post-factum wage (wage compounded to
 period end) with rentals; the ante-factum wage never enters it directly.
@@ -16,9 +17,10 @@ period end) with rentals; the ante-factum wage never enters it directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -34,6 +36,7 @@ from .polynomial import (
     refine_root,
 )
 from .rationals import integer_root
+from .switching import APPROX_TOL
 
 MIN_REFINE_TOL = Fraction(1, 10**12)
 
@@ -63,6 +66,8 @@ class AggregateCurvePoint:
 class Crossing:
     relative_price: Fraction
     interest_preimages: tuple[RootInterval, ...]  # interest units
+    # each preimage: exact, or refined to within APPROX_TOL
+    interest_approx: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -71,14 +76,25 @@ class TheoremVerdict:
 
     single_switch is only meaningful when the preconditions hold (reason is
     None); when they fail no claim is made either way.
+
+    crossing holds the relative price where the cost ratio crosses 1 and its
+    interest preimages in the domain, or None when the verdict certifies no
+    crossing or the domain holds no preimage. It is computed the first time
+    it is read, once per verdict, by `_find_crossing`.
     """
 
     pair: tuple[str, ...]
     aggregable: bool
     single_switch: Optional[bool]
-    crossing: Optional[Crossing]
     counterexample: Optional[str]
     reason: Optional[str] = None
+    _find_crossing: Optional[Callable[[], Optional[Crossing]]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def crossing(self) -> Optional[Crossing]:
+        return None if self._find_crossing is None else self._find_crossing()
 
 
 def _validate_group(ts: TechnologySet, group: FactorGroup) -> tuple[int, ...]:
@@ -207,6 +223,13 @@ def relative_price_curve(
     return out
 
 
+def _price_equation(ts: TechnologySet, group: FactorGroup, target: Fraction) -> Polynomial:
+    """F(x) - target * x**lag at unit wage: zero where F/complement-rental
+    equals target, x = 1 + i."""
+    lag = scalar_complement_lag(ts, group)
+    return aggregate_polynomial(ts, group) - Fraction(target) * Polynomial.monomial(lag)
+
+
 def interest_rates_for_relative_price(
     ts: TechnologySet,
     group: FactorGroup,
@@ -223,15 +246,35 @@ def interest_rates_for_relative_price(
     lo, hi = Fraction(lo), Fraction(hi)
     if lo <= -1:
         raise DomainError(f"domain start {lo} is at or below -100%")
-    lag = scalar_complement_lag(ts, group)
-    f_poly = aggregate_polynomial(ts, group)
-    cleared = f_poly - Fraction(target) * Polynomial.monomial(lag)
-    roots = isolate_roots_closed(cleared, 1 + lo, 1 + hi)
+    roots = isolate_roots_closed(_price_equation(ts, group, target), 1 + lo, 1 + hi)
     if not roots:
         raise NoRootError(
             f"relative price {target} is not attained for interest in [{lo}, {hi}]"
         )
     return [RootInterval(r.lo - 1, r.hi - 1, r.parity) for r in roots]
+
+
+def refined_interest_rates(
+    ts: TechnologySet,
+    group: FactorGroup,
+    target: Fraction,
+    lo: Fraction,
+    hi: Fraction,
+    tol: Fraction,
+) -> list[tuple[RootInterval, Fraction]]:
+    """interest_rates_for_relative_price, each certificate paired with its
+    rate: the exact root, or the root refined to within tol."""
+    roots = interest_rates_for_relative_price(ts, group, target, lo, hi)
+    cleared = _price_equation(ts, group, target)
+    return [
+        (
+            r,
+            r.lo
+            if r.is_exact
+            else refine_root(RootInterval(r.lo + 1, r.hi + 1, r.parity), cleared, tol) - 1,
+        )
+        for r in roots
+    ]
 
 
 @dataclass(frozen=True)
@@ -363,6 +406,18 @@ def support_groups(ts: TechnologySet) -> list[FactorGroup]:
     return out
 
 
+def _crossing(
+    ts: TechnologySet, group: FactorGroup, target: Fraction, lo: Fraction, hi: Fraction
+) -> Optional[Crossing]:
+    try:
+        found = refined_interest_rates(ts, group, target, lo, hi, APPROX_TOL)
+    except NoRootError:
+        return None
+    return Crossing(
+        Fraction(target), tuple(r for r, _ in found), tuple(v for _, v in found)
+    )
+
+
 def verify_single_switch(
     ts: TechnologySet,
     group: FactorGroup,
@@ -384,33 +439,35 @@ def verify_single_switch(
     support, so the ratio is single-valued and strictly increasing in the
     relative price by construction, and it crosses 1 only where
     relative_price == other_coeff. That crossing's interest preimages in
-    [lo, hi] come back as root certificates.
+    [lo, hi] come back as root certificates, isolated the first time the
+    verdict's crossing is read, so a caller that reads only single_switch
+    pays for no isolation.
     """
     names = tuple(ts.names)
     if len(ts) != 2:
-        return TheoremVerdict(names, False, None, None, None, "needs exactly two techniques")
+        return TheoremVerdict(names, False, None, None, "needs exactly two techniques")
     try:
         lags = _validate_group(ts, group)
     except ValueError as exc:
-        return TheoremVerdict(names, False, None, None, None, str(exc))
+        return TheoremVerdict(names, False, None, None, str(exc))
     if not leontief_sono_check(ts, group):
         return TheoremVerdict(
-            names, False, None, None, None, "group fails the price-aggregation check"
+            names, False, None, None, "group fails the price-aggregation check"
         )
     owner, other = _curve_techniques(ts, group)
     if set(owner.support) & set(other.support):
         return TheoremVerdict(
-            names, True, None, None, None, "technique supports are not disjoint"
+            names, True, None, None, "technique supports are not disjoint"
         )
     if set(owner.support) != set(lags):
         return TheoremVerdict(
-            names, True, None, None, None,
+            names, True, None, None,
             "group must equal the positive support of one technique",
         )
     try:
         lag = scalar_complement_lag(ts, group)
     except NonScalarComplementError as exc:
-        return TheoremVerdict(names, True, None, None, None, str(exc))
+        return TheoremVerdict(names, True, None, None, str(exc))
 
     # Collapse identity: F coincides with the owner's unit cost, and the
     # other technique's cost is a single monomial, so the cost ratio equals
@@ -421,16 +478,11 @@ def verify_single_switch(
         Fraction(1)
     ) != other_coeff * Polynomial.monomial(lag):
         return TheoremVerdict(
-            names, True, False, None,
+            names, True, False,
             "collapse identity failed: cost ratio is not a function of the "
             "relative price", None,
         )
 
-    try:
-        preimages = interest_rates_for_relative_price(
-            ts, group, other_coeff, lo, hi
-        )
-        crossing = Crossing(Fraction(other_coeff), tuple(preimages))
-    except NoRootError:
-        crossing = None
-    return TheoremVerdict(names, True, True, crossing, None, None)
+    return TheoremVerdict(
+        names, True, True, None, None, partial(_crossing, ts, group, other_coeff, lo, hi)
+    )

@@ -150,17 +150,15 @@ class FactorPricePoint:
 class TechnologySet:
     """A finite menu of techniques padded to a common horizon.
 
-    Wage defaults to 1 (paid at period start) and the output price to 1
-    (output is the numeraire); both stay explicit so homogeneity properties
-    can be exercised. The wage must be positive: at a zero wage every
-    technique costs nothing and none is ever cheapest.
+    Wage defaults to 1 (paid at period start) and stays explicit so
+    homogeneity properties can be exercised. The wage must be positive: at a
+    zero wage every technique costs nothing and none is ever cheapest.
     """
 
     def __init__(
         self,
         techniques: Iterable[Technique],
         wage: Fraction = Fraction(1),
-        output_price: Fraction = Fraction(1),
     ):
         techs = list(techniques)
         if not techs:
@@ -173,7 +171,6 @@ class TechnologySet:
         self.wage = Fraction(wage)
         if self.wage <= 0:
             raise ModelFormatError(f"wage must be positive, got {self.wage}")
-        self.output_price = Fraction(output_price)
         self.horizon = horizon
 
     def __len__(self) -> int:

@@ -3,10 +3,14 @@ isolation.
 
 The isolation routine combines three exact ingredients:
 
-* rational roots are found by the rational-root theorem and returned as
-  degenerate (point) intervals;
-* the remaining (irrational) roots of the square-free part are bracketed by
-  Sturm-count bisection, so the interval count is provably exhaustive;
+* rational roots are found by the rational-root theorem on the primitive
+  integer vector of the square-free part and returned as degenerate (point)
+  intervals: each candidate num/den is tested in integers, by homogenized
+  Horner after cheap divisibility filters at x = 1 and x = -1, and each root
+  found is divided out exactly by synthetic division by (den*x - num);
+* the remaining (irrational) roots, those of the integer quotient, are
+  bracketed by Sturm-count bisection, so the interval count is provably
+  exhaustive;
 * multiplicity parity comes from the Yun square-free decomposition, since a
   technique tie only flips dominance when the crossing has odd multiplicity;
   the same pass yields the square-free part, so each isolation takes a
@@ -274,31 +278,75 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _rational_roots_of_squarefree(q: Polynomial) -> list[Fraction]:
-    """All rational roots of a square-free polynomial, each simple."""
-    coeffs = list(q.int_coeffs())
+def _divides(a: int, b: int) -> bool:
+    return b == 0 if a == 0 else b % a == 0
+
+
+def _values_at_unit_points(coeffs: Sequence[int]) -> tuple[int, int]:
+    """f(1) and f(-1)."""
+    return sum(coeffs), sum(c if j % 2 == 0 else -c for j, c in enumerate(coeffs))
+
+
+def _scaled_value(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den**n * f(num/den) for the integer polynomial f of degree n: the
+    homogenized Horner sum of c_j * num**j * den**(n - j)."""
+    acc = 0
+    power = 1
+    for c in reversed(coeffs):
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _divide_linear(coeffs: Sequence[int], num: int, den: int) -> list[int]:
+    """The integer quotient of f by (den*x - num), num/den a root of f.
+
+    Synthetic division from the top: each quotient coefficient is
+    (c_j + num * b_j) / den, an integer by Gauss's lemma, since
+    (den*x - num) is primitive.
+    """
+    out = []
+    carry = 0
+    for c in reversed(coeffs[1:]):
+        b = (c + carry) // den
+        out.append(b)
+        carry = num * b
+    out.reverse()
+    return out
+
+
+def _rational_roots_of_squarefree(f: Polynomial) -> tuple[list[Fraction], list[int]]:
+    """All rational roots of a square-free polynomial, each simple, with the
+    primitive integer quotient of f by their linear factors.
+
+    Runs on the primitive integer vector of f. A root num/den in lowest terms
+    has num dividing the constant term and den the leading one, and
+    (den*x - num) divides f over the integers, so den - num divides f(1) and
+    den + num divides f(-1); a candidate passing both is tested by the
+    homogenized integer Horner sum and divided out exactly.
+    """
+    coeffs = list(f.int_coeffs())
     roots = []
-    k = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        k += 1
-    if k:
+    if coeffs[0] == 0:
         roots.append(Fraction(0))
-    if len(coeffs) <= 1:
-        return sorted(roots)
-    trimmed = Polynomial(coeffs)
+        while coeffs[0] == 0:
+            coeffs.pop(0)
+    dens = _divisors(coeffs[-1])
+    f1, fm1 = _values_at_unit_points(coeffs)
     for num in _divisors(coeffs[0]):
-        for den in _divisors(coeffs[-1]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and trimmed(cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
-
-
-def _deflate(p: Polynomial, root: Fraction) -> Polynomial:
-    quo, rem = divmod(p, Polynomial([-root, 1]))
-    assert rem.is_zero
-    return quo
+        if len(coeffs) == 1:
+            break
+        for den in dens:
+            if _int_gcd(num, den) != 1:
+                continue
+            for r in (num, -num):
+                if not (_divides(den - r, f1) and _divides(den + r, fm1)):
+                    continue
+                if _scaled_value(coeffs, r, den) == 0:
+                    roots.append(Fraction(r, den))
+                    coeffs = _divide_linear(coeffs, r, den)
+                    f1, fm1 = _values_at_unit_points(coeffs)
+    return sorted(roots), coeffs
 
 
 @dataclass(frozen=True)
@@ -413,10 +461,8 @@ def _isolate(
     def in_domain(r: Fraction) -> bool:
         return r >= lo and (hi is None or r <= hi)
 
-    rational = _rational_roots_of_squarefree(sf)
-    deflated = sf
-    for r in rational:
-        deflated = _deflate(deflated, r)
+    rational, quotient = _rational_roots_of_squarefree(sf)
+    deflated = Polynomial(quotient)
 
     bound = hi if hi is not None else max(lo + 1, cauchy_root_bound(deflated))
     brackets = _isolate_irrational(deflated, lo, bound, rational)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch on stdlib integers and
 fractions, without touching the package's own isolation or dominance code:
-dense sign scans with finite differences, plain bisection, direct
+dense sign scans with finite differences, plain bisection, the
+rational-root theorem with every candidate evaluated as a fraction, direct
 cheapest-technique evaluation and a grid scan of a dominance map against
 it, an exact-grid re-check of the factor-price collapse, and the
 floating-point log-spaced price grid.
@@ -88,6 +89,37 @@ def _poly_eval(coeffs, x: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def rational_roots(int_coeffs) -> list[Fraction]:
+    """Distinct rational roots of an integer polynomial (constant term
+    first), sorted, by the rational-root theorem evaluated in fractions.
+
+    Zero is a root when the constant term vanishes; the other candidates are
+    every +-num/den with num dividing the lowest nonzero coefficient and den
+    the leading one, each evaluated as a Fraction.
+    """
+    coeffs = list(int_coeffs)
+    roots = set()
+    while coeffs and coeffs[0] == 0:
+        roots.add(Fraction(0))
+        coeffs.pop(0)
+    if len(coeffs) <= 1:
+        return sorted(roots)
+
+    def divisors(n: int) -> list[int]:
+        n = abs(n)
+        small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        return sorted(set(small + [n // d for d in small]))
+
+    candidates = {
+        Fraction(sign * num, den)
+        for num in divisors(coeffs[0])
+        for den in divisors(coeffs[-1])
+        for sign in (1, -1)
+    }
+    roots.update(c for c in candidates if _poly_eval(coeffs, c) == 0)
+    return sorted(roots)
 
 
 def oracle_root_value(entry) -> Fraction:

@@ -201,6 +201,21 @@ class TestAnalyze:
         assert doc["theorem"]["single_switch"] is None
 
 
+    def test_irrational_crossing_preimages_refined(self, tmp_path):
+        # F - 8 x^2 = x (2x^2 - 8x + 7): preimages 1 -+ sqrt(1/2), not the
+        # midpoints of their isolating brackets
+        model = tmp_path / "irrational.json"
+        model.write_text(
+            '{"wage": "1", "techniques": [{"name": "a", "labor": ["0", "8", "0"]},'
+            ' {"name": "b", "labor": ["7", "0", "2"]}]}'
+        )
+        cp = run_cli("analyze", "--model", str(model))
+        assert cp.returncode == 0, cp.stderr
+        doc = json.loads(cp.stdout)
+        assert doc["theorem"]["crossing"]["relative_price"] == "8"
+        assert doc["theorem"]["crossing"]["interest_preimages"] == ["0.292893", "1.707107"]
+        assert [sp["interest"] for sp in doc["switch_points"]] == ["29.29", "170.71"]
+
     def test_switch_point_tie_costs_at_model_wage(self, tmp_path):
         model = tmp_path / "wage2.json"
         model.write_text(
@@ -410,6 +425,30 @@ class TestModelDiagnostics:
         cp = run_cli("table1", "--model", str(model), "--rates", "0")
         assert cp.returncode == 1
         assert "techniques[0].name" in cp.stderr
+
+    @pytest.mark.parametrize("price", ["0", "-1"])
+    def test_non_positive_output_price_rejected(self, tmp_path, price):
+        model = tmp_path / "price.json"
+        model.write_text(
+            '{"output_price": "%s", "techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
+            ' {"name": "b", "labor": ["6", "0", "2"]}]}' % price
+        )
+        cp = run_cli("analyze", "--model", str(model))
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("error:") and "output_price" in cp.stderr
+        assert cp.stderr.count("\n") == 1
+        assert cp.stdout == ""
+
+    def test_positive_output_price_accepted(self, tmp_path):
+        # output is the numeraire: the price is accepted and changes nothing
+        model = tmp_path / "price.json"
+        model.write_text(
+            '{"output_price": "2", "techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
+            ' {"name": "b", "labor": ["6", "0", "2"]}]}'
+        )
+        cp = run_cli("analyze", "--model", str(model))
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == run_cli("analyze", "--model", MODEL).stdout
 
     def test_help_runs(self):
         cp = run_cli("--help")

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reswitch.factorspace as factorspace
 from oracles import bisect_root, equal_price_pairs, factor_grid, factor_space_violations
 from reswitch import (
     DomainError,
@@ -238,6 +239,33 @@ class TestVerifySingleSwitch:
         assert v.crossing.relative_price == 7
         assert [r.lo for r in v.crossing.interest_preimages] == [F(1, 2), F(1)]
         assert all(r.is_exact for r in v.crossing.interest_preimages)
+
+    def test_crossing_isolated_once_on_first_read(self, monkeypatch):
+        calls = []
+        original = factorspace.isolate_roots_closed
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factorspace, "isolate_roots_closed", counting)
+        v = verify_single_switch(samuelson_example(), G13)
+        assert v.single_switch is True and calls == []
+        first = v.crossing
+        assert v.crossing is first
+        assert len(calls) == 1
+        assert first.interest_approx == (F(1, 2), F(1))
+
+    def test_irrational_preimages_refined(self):
+        # F - 8 x^2 = x (2x^2 - 8x + 7): preimages 1 -+ sqrt(1/2)
+        ts = TechnologySet([Technique("a", (0, 8, 0)), Technique("b", (7, 0, 2))])
+        crossing = verify_single_switch(ts, G13).crossing
+        assert crossing.relative_price == 8
+        assert len(crossing.interest_preimages) == 2
+        for iv, approx in zip(crossing.interest_preimages, crossing.interest_approx):
+            assert not iv.is_exact and iv.lo < approx < iv.hi
+            below, above = approx - F(1, 10**9) - 1, approx + F(1, 10**9) - 1
+            assert (below * below - F(1, 2)) * (above * above - F(1, 2)) < 0
 
     def test_overlapping_supports_unmet(self):
         ts = TechnologySet([Technique("a", (1, 1)), Technique("b", (2, 2))])

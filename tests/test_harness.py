@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reswitch.factorspace as factorspace
 from reswitch import (
     GeneratorConfig,
     Technique,
@@ -75,6 +76,20 @@ class TestRun:
         )
         assert report.grid_mismatches == 0
         assert report.grid_checks == 1
+
+    def test_verdicts_isolate_no_crossing(self, monkeypatch):
+        # the report reads only single_switch, so no crossing preimage is isolated
+        calls = []
+        original = factorspace.isolate_roots_closed
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factorspace, "isolate_roots_closed", counting)
+        report = run_falsification(GeneratorConfig(seed=1, trials=200))
+        assert report.theorem_verified > 0
+        assert calls == []
 
     def test_byte_identical_reports(self):
         cfg = GeneratorConfig(seed=9, trials=40)

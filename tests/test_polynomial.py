@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bisect_root, oracle_root_value, scan_sign_roots
+from oracles import bisect_root, oracle_root_value, rational_roots, scan_sign_roots
 import reswitch.polynomial as polynomial
 from reswitch import (
     EVEN,
@@ -199,6 +200,119 @@ class TestIsolation:
         if sf(lo) == 0 or sf(hi) == 0:
             return
         assert count_distinct_roots(sf, lo, hi) == len(isolate_real_roots(p, lo, hi))
+
+
+def int_product(factors):
+    """Integer coefficients (constant term first) of a product of integer
+    coefficient lists."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def planted_factors(rng, const, lead):
+    """Distinct irreducible integer factors of a polynomial whose square-free
+    product has constant term +-const (or 0, with a zero root) and leading
+    coefficient lead, with the rational roots they plant.
+
+    Linear factors den*x - num take roots from 0, +-1 and +-num/den with
+    num | const and den | lead; an irreducible quadratic with irrational (or
+    no) real roots takes up the rest of both ends, and sometimes x**2 - m
+    joins it.
+    """
+    pool = [F(0), F(1), F(-1)] + [
+        F(sign * num, den)
+        for num in (2, 3, 4, 5, 7, 9, 11, 13, 16)
+        for den in (2, 3, 5, 7, 8, 9)
+        for sign in (1, -1)
+    ]
+    factors, roots = [], []
+    for r in rng.sample(pool, rng.randint(1, 4)):
+        num, den = r.numerator, r.denominator
+        if r in roots or (num and const % abs(num)) or lead % den:
+            continue
+        roots.append(r)
+        factors.append([-num, den])
+        const //= abs(num) or 1
+        lead //= den
+    while True:
+        b = rng.randint(-4 * (const + lead), 4 * (const + lead))
+        c = rng.choice((const, -const))
+        disc = b * b - 4 * lead * c
+        if gcd(gcd(lead, b), c) == 1 and (disc < 0 or isqrt(disc) ** 2 != disc):
+            factors.append([c, b, lead])
+            break
+    if rng.random() < 0.3:
+        factors.append([-rng.choice((2, 3, 5, 6, 7)), 0, 1])
+    return factors, sorted(roots)
+
+
+class TestRationalRoots:
+    ENDS = ((720720, 5040), (5040, 720720), (5040, 5040), (360, 840), (720, 120), (12, 1))
+
+    def test_exact_roots_match_fraction_oracle(self):
+        rng = random.Random(720720)
+        repeated = 0
+        for trial in range(36):
+            const, lead = self.ENDS[trial % len(self.ENDS)]
+            factors, planted = planted_factors(rng, const, lead)
+            sf = int_product(factors)
+            assert abs(sf[-1]) == lead
+            powers = [1] * len(factors)
+            powers[rng.randrange(len(factors))] = rng.choice((1, 2, 3))
+            repeated += max(powers) > 1
+            p = Polynomial(int_product(f for f, k in zip(factors, powers) for _ in range(k)))
+            lo = -1 - max(abs(c) for c in p.coeffs)
+            exact = [iv.lo for iv in isolate_real_roots(p, lo, None) if iv.is_exact]
+            assert exact == rational_roots(sf) == planted
+        assert repeated >= 12
+
+    def test_candidates_tested_in_integers(self, monkeypatch):
+        # 5040 x^2 - 130001 x + 720720 times (2x - 3)(x + 1): 2 * 5040 and
+        # 3 * 720720 at the ends, so thousands of candidates, no fractions
+        f = int_product([[-3, 2], [1, 1], [720720, -130001, 5040]])
+        calls = []
+        original = Polynomial.__call__
+
+        def counting(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(Polynomial, "__call__", counting)
+        roots, quotient = polynomial._rational_roots_of_squarefree(Polynomial(f))
+        assert calls == []
+        assert roots == rational_roots(f) == [F(-1), F(3, 2)]
+        assert quotient == [720720, -130001, 5040]
+
+    def test_candidates_coprime_and_filtered_at_unit_points(self, monkeypatch):
+        # every candidate num/den reaching the Horner test is in lowest terms,
+        # and den - num divides f(1) and den + num divides f(-1)
+        rng = random.Random(5040)
+        tested = []
+        original = polynomial._scaled_value
+
+        def checking(coeffs, num, den):
+            f1 = sum(coeffs)
+            fm1 = sum(c * (-1) ** j for j, c in enumerate(coeffs))
+            assert gcd(num, den) == 1
+            assert (f1 == 0) if den == num else f1 % (den - num) == 0
+            assert (fm1 == 0) if den == -num else fm1 % (den + num) == 0
+            tested.append((num, den))
+            return original(coeffs, num, den)
+
+        monkeypatch.setattr(polynomial, "_scaled_value", checking)
+        for trial in range(10):
+            factors, planted = planted_factors(rng, *self.ENDS[trial % len(self.ENDS)])
+            roots, _ = polynomial._rational_roots_of_squarefree(
+                Polynomial(int_product(factors))
+            )
+            assert roots == planted
+        assert tested
 
 
 class TestRefinement:
