@@ -28,9 +28,10 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .complementarity import find_complementary_pair
-from .errors import DomainError, ModelFormatError, ReswitchError
+from .errors import DomainError, ModelFormatError, NotAggregableError, ReswitchError
 from .factorspace import (
     FactorGroup,
+    _validate_group,
     curve_minimum,
     refined_interest_rates,
     relative_price_curve,
@@ -125,7 +126,25 @@ def parse_group(text: str) -> FactorGroup:
         raise FlagError(f"bad group spec {text!r}: lags must be integers") from exc
     if not lags:
         raise FlagError("group spec is empty")
+    if min(lags) < 1:
+        raise FlagError(f"bad group spec {text!r}: lags start at 1")
     return FactorGroup.of(*lags)
+
+
+def model_group(ts: TechnologySet, text: str, command: str) -> FactorGroup:
+    """The --group of `table2` or `curves figure3`, checked against the model.
+
+    A group outside the model's horizon or covering every lag, or a model of
+    more than two techniques, is an analysis error.
+    """
+    group = parse_group(text)
+    if len(ts) > 2:
+        raise ModelFormatError(f"{command} needs at most two techniques")
+    try:
+        _validate_group(ts, group)
+    except ValueError as exc:
+        raise NotAggregableError(str(exc)) from exc
+    return group
 
 
 def parse_grid(text: str, unit: str) -> list[Fraction]:
@@ -197,7 +216,7 @@ def cmd_table1(args) -> int:
 
 def cmd_table2(args) -> int:
     ts = load_model(args.model)
-    group = parse_group(args.group)
+    group = model_group(ts, args.group, "table2")
     rates = parse_rate_list(args.rates, args.unit)
     places = args.precision if args.precision is not None else 2
     min_places = args.precision if args.precision is not None else MIN_ROW_PLACES
@@ -278,7 +297,7 @@ def cmd_curves(args) -> int:
         _emit_csv(rows)
         return 0
 
-    group = parse_group(args.group)
+    group = model_group(ts, args.group, "figure3")
     points = relative_price_curve(ts, group, grid)
     by_price: dict[Fraction, Fraction] = {}
     for pt in points:

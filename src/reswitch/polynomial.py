@@ -3,18 +3,24 @@ isolation.
 
 The isolation routine combines three exact ingredients:
 
-* rational roots are found by the rational-root theorem on the primitive
-  integer vector of the square-free part and returned as degenerate (point)
-  intervals: each candidate num/den is tested in integers, by homogenized
-  Horner after cheap divisibility filters at x = 1 and x = -1, and each root
-  found is divided out exactly by synthetic division by (den*x - num);
-* the remaining (irrational) roots, those of the integer quotient, are
-  bracketed by Sturm-count bisection, so the interval count is provably
-  exhaustive;
 * multiplicity parity comes from the Yun square-free decomposition, since a
   technique tie only flips dominance when the crossing has odd multiplicity;
   the same pass yields the square-free part, so each isolation takes a
-  single gcd(p, p').
+  single gcd(p, p'). Yun and the gcd run on primitive integer vectors: each
+  remainder is a pseudo-remainder (multiplier |lc|**(delta+1), positive)
+  divided by its content, a positive multiple of the remainder over the
+  rationals, and each quotient by a primitive divisor is exact in integers
+  by Gauss's lemma. A root's parity is read from the signs of the integer
+  factors, by homogenized Horner. `poly_gcd` and `squarefree_part` still
+  return monic rational polynomials;
+* rational roots are found by the rational-root theorem on the square-free
+  integer vector and returned as degenerate (point) intervals: each
+  candidate num/den is tested in integers, by homogenized Horner after cheap
+  divisibility filters at x = 1 and x = -1, and each root found is divided
+  out exactly by synthetic division by (den*x - num);
+* the remaining (irrational) roots, those of the integer quotient, are
+  bracketed by Sturm-count bisection, so the interval count is provably
+  exhaustive.
 
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ZeroPolynomialError
@@ -144,20 +150,7 @@ class Polynomial:
         The scale is positive, so signs at every point are preserved; this
         keeps Sturm chains in small integers.
         """
-        if self.is_zero:
-            return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = _int_gcd(g, abs(v))
-        return Polynomial(Fraction(v, g) for v in ints)
-
-    def int_coeffs(self) -> tuple[int, ...]:
-        prim = self.primitive()
-        return tuple(int(c) for c in prim.coeffs)
+        return Polynomial(_int_vector(self)) if self.coeffs else self
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -179,45 +172,145 @@ class Polynomial:
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
+def _primitive_ints(v: list[int]) -> list[int]:
+    """v divided by its content (a positive integer); the zero vector stays."""
+    g = _int_gcd(*v)
+    return v if g <= 1 else [c // g for c in v]
+
+
+def _int_vector(p: Polynomial) -> list[int]:
+    """The primitive integer vector of p: p times a positive rational."""
+    den = _int_lcm(*(c.denominator for c in p.coeffs))
+    return _primitive_ints([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _monic_of(v: Sequence[int]) -> Polynomial:
+    lead = v[-1]
+    return Polynomial(Fraction(c, lead) for c in v)
+
+
+def _derivative_ints(v: Sequence[int]) -> list[int]:
+    return [k * v[k] for k in range(1, len(v))]
+
+
+def _subtract_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for j, c in enumerate(b):
+        out[j] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _pseudo_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """|lc(b)|**(deg a - deg b + 1) * a mod b, in integers.
+
+    Each step scales the running remainder by |lc(b)| and cancels its top
+    coefficient, so the result is a positive multiple of the remainder of a
+    by b over the rationals.
+    """
+    rem = list(a)
+    lead = b[-1]
+    scale = abs(lead)
+    n = len(b) - 1
+    for shift in range(len(a) - len(b), -1, -1):
+        top = rem.pop()
+        if lead < 0:
+            top = -top
+        rem = [scale * c for c in rem]
+        if top:
+            for j in range(n):
+                rem[shift + j] -= top * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The gcd of two integer vectors by the primitive remainder sequence
+    (Collins 1967; Brown & Traub 1971): primitive, with a positive leading
+    coefficient; the zero vector when both are zero.
+
+    Every remainder is a pseudo-remainder divided by its content, hence a
+    positive multiple of the remainder that Euclid's algorithm over the
+    rationals would take at the same step.
+    """
+    a, b = _primitive_ints(a), _primitive_ints(b)
+    while b:
+        a, b = b, _primitive_ints(_pseudo_remainder(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b for integer vectors, b primitive and dividing a over the
+    rationals: the quotient has integer coefficients by Gauss's lemma, so
+    long division takes only exact integer steps."""
+    rem = list(a)
+    lead = b[-1]
+    n = len(b) - 1
+    quo = [0] * max(len(a) - n, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        q = rem.pop() // lead
+        quo[shift] = q
+        if q:
+            for j in range(n):
+                rem[shift + j] -= q * b[j]
+    return quo
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over Q (gcd with zero is the other)."""
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero:
-        a, b = b, (a % b).primitive()
-    return a.monic()
+    g = _primitive_gcd(_int_vector(a), _int_vector(b))
+    return _monic_of(g) if g else Polynomial()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     if p.is_zero:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
-    if p.degree == 0:
-        return p.monic()
-    return (p // poly_gcd(p, p.derivative())).monic()
+    f = _int_vector(p)
+    if len(f) == 1:
+        return _monic_of(f)
+    return _monic_of(_exact_quotient(f, _primitive_gcd(f, _derivative_ints(f))))
+
+
+def _yun_ints(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Yun's algorithm on a primitive integer vector f of degree >= 1: the
+    square-free part f / gcd(f, f') and the decomposition [(f_k, k)], every
+    vector primitive with a positive leading coefficient.
+
+    Each quotient is exact by Gauss's lemma. c and d carry one common
+    positive scale, which every step keeps: d / a - (c / a)' is again Yun's
+    d at the scale of c / a.
+    """
+    if f[-1] < 0:
+        f = [-c for c in f]
+    df = _derivative_ints(f)
+    g = _primitive_gcd(f, df)
+    if len(g) == 1:
+        return f, [(f, 1)]
+    out = []
+    sf = c = _exact_quotient(f, g)
+    d = _subtract_ints(_exact_quotient(df, g), _derivative_ints(c))
+    k = 1
+    while len(c) > 1:
+        a = _primitive_gcd(c, d)
+        if len(a) > 1:
+            out.append((a, k))
+        c_next = _exact_quotient(c, a)
+        d = _subtract_ints(_exact_quotient(d, a), _derivative_ints(c_next))
+        c = c_next
+        k += 1
+    return sf, out
 
 
 def _yun(p: Polynomial) -> tuple[Polynomial, list[tuple[Polynomial, int]]]:
     """Yun's algorithm: the monic square-free part of p (its first quotient
     p / gcd(p, p')) together with the decomposition [(f_k, k)]."""
-    f = p.monic()
-    if f.degree == 0:
-        return f, []
-    df = f.derivative()
-    g = poly_gcd(f, df)
-    if g.degree == 0:
-        return f, [(f, 1)]
-    out = []
-    sf = c = (f // g).monic()
-    d = (df // g) - c.derivative()
-    k = 1
-    while c.degree and c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree and a.degree > 0:
-            out.append((a.monic(), k))
-        c_next = (c // a).monic()
-        d = (d // a) - c_next.derivative()
-        c = c_next
-        k += 1
-    return sf, out
+    f = _int_vector(p)
+    if len(f) == 1:
+        return _monic_of(f), []
+    sf, factors = _yun_ints(f)
+    return _monic_of(sf), [(_monic_of(a), k) for a, k in factors]
 
 
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -315,17 +408,19 @@ def _divide_linear(coeffs: Sequence[int], num: int, den: int) -> list[int]:
     return out
 
 
-def _rational_roots_of_squarefree(f: Polynomial) -> tuple[list[Fraction], list[int]]:
-    """All rational roots of a square-free polynomial, each simple, with the
-    primitive integer quotient of f by their linear factors.
+def _rational_roots_of_squarefree(
+    f: Sequence[int],
+) -> tuple[list[Fraction], list[int]]:
+    """All rational roots of a square-free primitive integer vector f, each
+    simple, with the integer quotient of f by their linear factors.
 
-    Runs on the primitive integer vector of f. A root num/den in lowest terms
-    has num dividing the constant term and den the leading one, and
-    (den*x - num) divides f over the integers, so den - num divides f(1) and
-    den + num divides f(-1); a candidate passing both is tested by the
-    homogenized integer Horner sum and divided out exactly.
+    A root num/den in lowest terms has num dividing the constant term and den
+    the leading one, and (den*x - num) divides f over the integers, so
+    den - num divides f(1) and den + num divides f(-1); a candidate passing
+    both is tested by the homogenized integer Horner sum and divided out
+    exactly.
     """
-    coeffs = list(f.int_coeffs())
+    coeffs = list(f)
     roots = []
     if coeffs[0] == 0:
         roots.append(Fraction(0))
@@ -456,7 +551,7 @@ def _isolate(
     if hi is not None:
         hi = Fraction(hi)
 
-    sf, factors = _yun(p)
+    sf, factors = _yun_ints(_int_vector(p))
 
     def in_domain(r: Fraction) -> bool:
         return r >= lo and (hi is None or r <= hi)
@@ -467,15 +562,19 @@ def _isolate(
     bound = hi if hi is not None else max(lo + 1, cauchy_root_bound(deflated))
     brackets = _isolate_irrational(deflated, lo, bound, rational)
 
+    # den**n * f(num/den) has the sign of f(num/den)
+    def sign_at(f: Sequence[int], x: Fraction) -> int:
+        return _scaled_value(f, x.numerator, x.denominator)
+
     def parity_exact(r: Fraction) -> str:
         for f, k in factors:
-            if f(r) == 0:
+            if sign_at(f, r) == 0:
                 return _parity_of(k)
         raise AssertionError("exact root not in any square-free factor")
 
     def parity_bracket(a: Fraction, b: Fraction) -> str:
         for f, k in factors:
-            fa, fb = f(a), f(b)
+            fa, fb = sign_at(f, a), sign_at(f, b)
             if fa != 0 and fb != 0 and (fa < 0) != (fb < 0):
                 return _parity_of(k)
         raise AssertionError("bracketed root not in any square-free factor")

@@ -10,8 +10,16 @@ technique pairs collects them into `DominanceMap.tangencies`.
 
 Each pair's cost difference is isolated once per call into a `_PairTies`
 record (the difference, its roots and its in-domain ties), which every
-consumer in that call reads; nothing is cached across calls. Brackets are
+consumer in that call reads; nothing is cached across calls. `dominance_map`
+builds one unit-wage cost polynomial per technique per call, and pair
+differences, gap winners and tie costs all read that table. Brackets are
 narrowed by `polynomial._narrow`, on the tie polynomial itself for odd ties.
+
+Each candidate boundary (`_Cut`) records the technique pairs whose odd tie
+it certifies. A boundary's tie set admits those pairs without a gcd; only a
+technique the cut does not record (one with an even tie there, say) takes a
+gcd and Sturm test. Two cuts that record the same pair are distinct roots of
+its difference, so they are separated without a gcd too.
 """
 
 from __future__ import annotations
@@ -180,8 +188,10 @@ class _PairTies:
         return iv.lo if iv.is_exact else refine_root(iv, self.d, APPROX_TOL)
 
 
-def _pair_ties(a: Technique, b: Technique, lo: Fraction, hi: Fraction) -> _PairTies:
-    d = _difference(a, b)
+def _pair_ties(
+    a: Technique, b: Technique, d: Polynomial, lo: Fraction, hi: Fraction
+) -> _PairTies:
+    """The tie structure of a and b, whose unit-wage cost difference is d."""
     if d.is_zero:
         raise IdenticalTechniquesError(
             f"techniques {a.name!r} and {b.name!r} have identical costs everywhere"
@@ -218,7 +228,7 @@ def pairwise_switch_points(
     """
     lo, hi = _check_domain(lo, hi)
     wage = Fraction(wage)
-    ties = _pair_ties(a, b, lo, hi)
+    ties = _pair_ties(a, b, _difference(a, b), lo, hi)
     a_pad, _ = _pad_pair(a, b)
     cost_a = a_pad.cost_polynomial(wage)
     out = []
@@ -267,21 +277,28 @@ def pairwise_tangencies(
 ) -> list[Tangency]:
     """Even-multiplicity tie points of the pair in [lo, hi]."""
     lo, hi = _check_domain(lo, hi)
-    return _tangencies(a, b, _pair_ties(a, b, lo, hi))
+    return _tangencies(a, b, _pair_ties(a, b, _difference(a, b), lo, hi))
 
 
 class _Cut:
     """A candidate dominance boundary: one certified tie point in x-space, a
     root of odd multiplicity of poly (a merged cut's gcd keeps the smaller of
-    two odd multiplicities), so poly changes sign across the bracket."""
+    two odd multiplicities), so poly changes sign across the bracket.
 
-    __slots__ = ("poly", "exact", "lo", "hi")
+    pairs holds the representative pairs (as frozensets of two names) whose
+    odd ties the cut certifies; a merge or a dedupe takes the union.
+    """
 
-    def __init__(self, poly: Polynomial, exact: Optional[Fraction], lo, hi):
+    __slots__ = ("poly", "exact", "lo", "hi", "pairs")
+
+    def __init__(
+        self, poly: Polynomial, exact: Optional[Fraction], lo, hi, pairs: set
+    ):
         self.poly = poly  # vanishes at the point; basis for gcd tie tests
         self.exact = exact
         self.lo = lo
         self.hi = hi
+        self.pairs = pairs
 
     @property
     def left(self) -> Fraction:
@@ -302,7 +319,11 @@ class _Cut:
 
 def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
     """Make all cuts pairwise disjoint, merging cuts that provably carry the
-    same root (the gcd of the two defining polynomials keeps the root)."""
+    same root (the gcd of the two defining polynomials keeps the root).
+
+    Two cuts that share a recorded pair certify distinct roots of that
+    pair's difference, which its own isolation separated, so they are
+    halved apart without a gcd."""
     exact_values = sorted({c.exact for c in cuts if c.exact is not None})
     for c in cuts:
         c.narrow(lambda a, b: any(a <= e <= b for e in exact_values))
@@ -313,6 +334,7 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
                 continue
             if ci.exact is not None and cj.exact is not None:
                 # identical rational tie points from two different pairs
+                ci.pairs |= cj.pairs
                 work.remove(cj)
                 break
             if ci.exact is not None or cj.exact is not None:
@@ -320,9 +342,9 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
                 point = ci.exact if ci.exact is not None else cj.exact
                 interval.narrow(lambda a, b: a <= point <= b)
                 break
-            g = poly_gcd(ci.poly, cj.poly)
             same = False
-            if g.degree is not None and g.degree > 0:
+            g = None if ci.pairs & cj.pairs else poly_gcd(ci.poly, cj.poly)
+            if g is not None and g.degree is not None and g.degree > 0:
                 c1 = count_distinct_roots(g, ci.lo, ci.hi)
                 c2 = count_distinct_roots(g, cj.lo, cj.hi)
                 if c1 == 1 and c2 == 1:
@@ -331,7 +353,9 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
                     if count_distinct_roots(g, hull_lo, hull_hi) == 1:
                         same = True
             if same:
-                merged = _Cut(g, None, max(ci.lo, cj.lo), min(ci.hi, cj.hi))
+                merged = _Cut(
+                    g, None, max(ci.lo, cj.lo), min(ci.hi, cj.hi), ci.pairs | cj.pairs
+                )
                 work.remove(ci)
                 work.remove(cj)
                 work.append(merged)
@@ -393,29 +417,31 @@ def dominance_map(
         seg = Segment(lo, hi, reps[0].name, tuple(aliases[reps[0].name]))
         return DominanceMap((lo, hi), (seg,), ())
 
+    # built once per call and read by every step below: pair differences,
+    # gap winners (the wage is positive, so unit costs have the same
+    # argmin) and tie sets; tie costs are the wage times the unit cost
+    unit = {r.name: r.cost_polynomial(Fraction(1)) for r in reps}
+    rep_of = {
+        name: rep.name for rep in reps for name in (rep.name, *aliases[rep.name])
+    }
+
     cuts: list[_Cut] = []
     tangencies: list[Tangency] = []
     for u, v in combinations(reps, 2):
-        ties = _pair_ties(u, v, lo, hi)
+        ties = _pair_ties(u, v, unit[u.name] - unit[v.name], lo, hi)
         for _, iv in ties.in_domain:
             if iv.parity != ODD:
                 continue
-            if iv.is_exact:
-                cuts.append(_Cut(ties.d, iv.lo, iv.lo, iv.lo))
-            else:
-                cuts.append(_Cut(ties.d, None, iv.lo, iv.hi))
+            exact = iv.lo if iv.is_exact else None
+            pair = frozenset((u.name, v.name))
+            cuts.append(_Cut(ties.d, exact, iv.lo, iv.hi, {pair}))
         tangencies.extend(_tangencies(u, v, ties))
     tangencies.sort(key=lambda t: t.interest_approx)
     cuts = _merge_or_separate(cuts)
     _separate_strictly(cuts, xlo, xhi)
 
-    # built once per call: model-wage costs decide winners, unit-wage
-    # differences decide tie sets
-    cost = {r.name: r.cost_polynomial(wage) for r in reps}
-    unit_cost = {t.name: t.cost_polynomial(Fraction(1)) for t in ts.techniques}
-
     def costs_at(x: Fraction) -> list[Fraction]:
-        return [cost[r.name](x) for r in reps]
+        return [unit[r.name](x) for r in reps]
 
     def min_owners(x: Fraction) -> list[Technique]:
         values = costs_at(x)
@@ -457,13 +483,16 @@ def dominance_map(
     ]
 
     def tie_set(cut: _Cut, anchor: Technique) -> tuple[str, ...]:
+        """Every technique tied with the anchor at the cut: the anchor's
+        aliases and the pairs the cut records, else a gcd test (an even tie
+        at the cut, say)."""
         names = []
-        anchor_poly = unit_cost[anchor.name]
         for tech in ts.techniques:
-            if tech.labor == anchor.labor:
+            rep = rep_of[tech.name]
+            if rep == anchor.name or frozenset((anchor.name, rep)) in cut.pairs:
                 names.append(tech.name)
                 continue
-            dd = anchor_poly - unit_cost[tech.name]
+            dd = unit[anchor.name] - unit[rep]
             if cut.exact is not None:
                 if dd(cut.exact) == 0:
                     names.append(tech.name)
@@ -477,12 +506,12 @@ def dominance_map(
     def boundary_from(cut: _Cut, anchor: Technique) -> Boundary:
         if cut.exact is not None:
             x = cut.exact
-            tie_cost = cost[anchor.name](x)
+            tie_cost = wage * unit[anchor.name](x)
             cert = RootInterval(x - 1, x - 1, ODD)
             return Boundary(x - 1, x - 1, cert, tie_set(cut, anchor), tie_cost, tie_cost)
         approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), cut.poly, APPROX_TOL)
         cert = RootInterval(cut.lo - 1, cut.hi - 1, ODD)
-        tie_cost = cost[anchor.name](approx_x)
+        tie_cost = wage * unit[anchor.name](approx_x)
         return Boundary(None, approx_x - 1, cert, tie_set(cut, anchor), None, tie_cost)
 
     segments: list[Segment] = []

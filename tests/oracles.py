@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch on stdlib integers and
 fractions, without touching the package's own isolation or dominance code:
 dense sign scans with finite differences, plain bisection, the
-rational-root theorem with every candidate evaluated as a fraction, direct
+rational-root theorem with every candidate evaluated as a fraction, Euclid's
+gcd and Yun's decomposition by long division over the rationals, direct
 cheapest-technique evaluation and a grid scan of a dominance map against
 it, an exact-grid re-check of the factor-price collapse, and the
 floating-point log-spaced price grid.
@@ -120,6 +121,73 @@ def rational_roots(int_coeffs) -> list[Fraction]:
     }
     roots.update(c for c in candidates if _poly_eval(coeffs, c) == 0)
     return sorted(roots)
+
+
+def _strip(coeffs) -> list[Fraction]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _monic(coeffs) -> list[Fraction]:
+    return [c / coeffs[-1] for c in coeffs]
+
+
+def _fraction_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division of coefficient lists over the rationals."""
+    rem = _strip(a)
+    quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quo[shift] = f
+        for j, c in enumerate(b):
+            rem[shift + j] -= f * c
+        rem = _strip(rem)
+    return _strip(quo), rem
+
+
+def _fraction_derivative(coeffs) -> list[Fraction]:
+    return _strip(k * c for k, c in enumerate(coeffs) if k > 0)
+
+
+def _fraction_sub(a, b) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _strip(x - y for x, y in zip(a, b))
+
+
+def fraction_gcd(a, b) -> list[Fraction]:
+    """Monic gcd of two coefficient lists (constant term first) by Euclid's
+    algorithm over the rationals; [] when both are zero."""
+    a, b = _strip(a), _strip(b)
+    while b:
+        a, b = b, _fraction_divmod(a, b)[1]
+    return _monic(a) if a else []
+
+
+def fraction_yun(coeffs) -> tuple[list[Fraction], list[tuple[list[Fraction], int]]]:
+    """Yun's square-free decomposition over the rationals of a nonzero
+    coefficient list: the monic square-free part p / gcd(p, p') and the
+    monic factors [(f_k, k)] with p proportional to prod f_k**k."""
+    f = _monic(_strip(coeffs))
+    if len(f) == 1:
+        return f, []
+    df = _fraction_derivative(f)
+    g = fraction_gcd(f, df)
+    c = _fraction_divmod(f, g)[0]
+    d = _fraction_sub(_fraction_divmod(df, g)[0], _fraction_derivative(c))
+    sf, out, k = c, [], 1
+    while len(c) > 1:
+        a = fraction_gcd(c, d)
+        if len(a) > 1:
+            out.append((a, k))
+        c = _fraction_divmod(c, a)[0]
+        d = _fraction_sub(_fraction_divmod(d, a)[0], _fraction_derivative(c))
+        k += 1
+    return sf, out
 
 
 def oracle_root_value(entry) -> Fraction:

@@ -172,6 +172,53 @@ class TestCurves:
             parse_grid(f"0:{last + 1}:1", "fraction")
 
 
+GROUP_COMMANDS = [
+    ("table2", "--rates", "0,50"),
+    ("curves", "figure3", "--grid", "0:50:10"),
+]
+
+
+def assert_one_error_line(cp: subprocess.CompletedProcess, text: str) -> None:
+    assert cp.returncode == 1, cp.stderr
+    assert cp.stderr.startswith("error:") and text in cp.stderr
+    assert cp.stderr.count("\n") == 1
+    assert "Traceback" not in cp.stderr
+    assert cp.stdout == ""
+
+
+class TestGroupChecks:
+    @pytest.mark.parametrize("command", GROUP_COMMANDS)
+    @pytest.mark.parametrize("group", ["0", "-1", "1,0"])
+    def test_lag_below_one_is_usage_error(self, command, group):
+        cp = run_cli(*command, "--model", MODEL, "--group", group)
+        assert cp.returncode == 2
+        assert "lags start at 1" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize("command", GROUP_COMMANDS)
+    def test_group_outside_horizon(self, command):
+        cp = run_cli(*command, "--model", MODEL, "--group", "4")
+        assert_one_error_line(cp, "outside horizon 1..3")
+
+    @pytest.mark.parametrize("command", GROUP_COMMANDS)
+    @pytest.mark.parametrize("group", ["1,2,3", "3,2,1"])
+    def test_group_covering_every_lag(self, command, group):
+        cp = run_cli(*command, "--model", MODEL, "--group", group)
+        assert_one_error_line(cp, "proper subset")
+
+    @pytest.mark.parametrize("command", GROUP_COMMANDS)
+    @pytest.mark.parametrize("group", ["1", "1,3", "4"])
+    def test_more_than_two_techniques(self, tmp_path, command, group):
+        model = tmp_path / "three.json"
+        model.write_text(
+            '{"techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
+            ' {"name": "b", "labor": ["6", "0", "2"]},'
+            ' {"name": "c", "labor": ["1", "5", "1"]}]}'
+        )
+        cp = run_cli(*command, "--model", str(model), "--group", group)
+        assert_one_error_line(cp, "at most two techniques")
+
+
 class TestAnalyze:
     def test_champagne_document(self):
         cp = run_cli("analyze", "--model", MODEL)

@@ -1,11 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import bisect_root, oracle_root_value, rational_roots, scan_sign_roots
+from oracles import (
+    bisect_root,
+    fraction_gcd,
+    fraction_yun,
+    oracle_root_value,
+    rational_roots,
+    scan_sign_roots,
+)
 import reswitch.polynomial as polynomial
 from reswitch import (
     EVEN,
@@ -89,14 +97,16 @@ class TestStructure:
         assert squarefree_part(p) == poly(0, 1) * poly(-2, 1)
 
     def test_isolation_takes_one_gcd_on_squarefree_input(self, monkeypatch):
+        # Yun runs its gcds on integer vectors, by the primitive remainder
+        # sequence, without going through poly_gcd
         calls = []
-        original = polynomial.poly_gcd
+        original = polynomial._primitive_gcd
 
         def counting(a, b):
             calls.append((a, b))
             return original(a, b)
 
-        monkeypatch.setattr(polynomial, "poly_gcd", counting)
+        monkeypatch.setattr(polynomial, "_primitive_gcd", counting)
         roots = isolate_real_roots(poly(-2, 0, 0, 1), F(-3), F(3))  # x^3 - 2
         assert len(roots) == 1 and not roots[0].is_exact
         assert len(calls) == 1
@@ -284,7 +294,7 @@ class TestRationalRoots:
             return original(self, x)
 
         monkeypatch.setattr(Polynomial, "__call__", counting)
-        roots, quotient = polynomial._rational_roots_of_squarefree(Polynomial(f))
+        roots, quotient = polynomial._rational_roots_of_squarefree(f)
         assert calls == []
         assert roots == rational_roots(f) == [F(-1), F(3, 2)]
         assert quotient == [720720, -130001, 5040]
@@ -308,11 +318,76 @@ class TestRationalRoots:
         monkeypatch.setattr(polynomial, "_scaled_value", checking)
         for trial in range(10):
             factors, planted = planted_factors(rng, *self.ENDS[trial % len(self.ENDS)])
-            roots, _ = polynomial._rational_roots_of_squarefree(
-                Polynomial(int_product(factors))
-            )
+            roots, _ = polynomial._rational_roots_of_squarefree(int_product(factors))
             assert roots == planted
         assert tested
+
+
+class TestIntegerAlgebra:
+    """poly_gcd and Yun run on primitive integer vectors; the results must
+    equal Euclid and Yun over the rationals exactly."""
+
+    KINDS = ("rational", "irrational", "complex", "cubic")
+
+    @staticmethod
+    def factor(rng):
+        kind = rng.choice(TestIntegerAlgebra.KINDS)
+        if kind == "rational":  # one rational root, often fractional coefficients
+            lead = F(rng.choice((1, -1, 2, 3)), rng.randint(1, 3))
+            coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)), lead]
+        elif kind == "irrational":
+            coeffs = [-rng.choice((2, 3, 5, 6, 7)), 0, 1]
+        elif kind == "complex":
+            coeffs = [rng.randint(1, 6), rng.randint(-2, 2), 1]
+        else:
+            coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
+            coeffs.append(rng.randint(1, 4))
+        return kind, coeffs
+
+    def product(self, rng, shared, seen):
+        roll = rng.random()
+        if roll < 0.05:
+            seen["zero"] += 1
+            return []
+        scale = F(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 1, 2, 7)))
+        if roll < 0.1:
+            seen["constant"] += 1
+            return [scale]
+        out = [scale]
+        for kind, f in shared + [self.factor(rng) for _ in range(rng.randint(0, 2))]:
+            power = rng.choice((1, 1, 2, 3))
+            seen[kind] += 1
+            seen[{1: "simple", 2: "squared", 3: "cubed"}[power]] += 1
+            for _ in range(power):
+                out = int_product([out, f])
+        seen["negative_lead"] += out[-1] < 0
+        seen["fraction"] += any(F(c).denominator != 1 for c in out)
+        return out
+
+    def test_gcd_and_yun_match_fraction_oracle(self):
+        rng = random.Random(1967)
+        seen = Counter()
+        for _ in range(320):
+            shared = [self.factor(rng) for _ in range(rng.randint(0, 2))]
+            p, q = self.product(rng, shared, seen), self.product(rng, shared, seen)
+            g = poly_gcd(Polynomial(p), Polynomial(q))
+            assert list(g.coeffs) == fraction_gcd(p, q)
+            if Polynomial(p).is_zero:
+                continue
+            sf, factors = fraction_yun(p)
+            assert list(squarefree_part(Polynomial(p)).coeffs) == sf
+            assert [
+                (list(f.coeffs), k) for f, k in squarefree_decomposition(Polynomial(p))
+            ] == factors
+            assert _yun(Polynomial(p))[0] == squarefree_part(Polynomial(p))
+        kinds = ("zero", "constant", "negative_lead", "fraction", "squared", "cubed")
+        for kind in kinds + self.KINDS:
+            assert seen[kind] >= 20, (kind, seen)
+
+    def test_gcd_with_zero(self):
+        assert poly_gcd(Polynomial(), Polynomial()) == Polynomial()
+        assert poly_gcd(poly(4, -2), Polynomial()) == poly(-2, 1)
+        assert poly_gcd(Polynomial(), poly(F(-3, 2))) == poly(1)
 
 
 class TestRefinement:
@@ -349,13 +424,16 @@ class TestRefinement:
         p = poly(-2, 0, 1)  # x^2 - 2
         (root,) = isolate_real_roots(p, F(1), F(2))
         calls = []
-        original = polynomial.poly_gcd
 
-        def counting(a, b):
-            calls.append((a, b))
-            return original(a, b)
+        def counting(original):
+            def wrapper(a, b):
+                calls.append((a, b))
+                return original(a, b)
 
-        monkeypatch.setattr(polynomial, "poly_gcd", counting)
+            return wrapper
+
+        for name in ("poly_gcd", "_primitive_gcd"):
+            monkeypatch.setattr(polynomial, name, counting(getattr(polynomial, name)))
         refine_root(root, p, F(1, 10**9))
         assert calls == []
 

@@ -180,6 +180,55 @@ class TestDominance:
         assert dom.winners == ("a", "b", "a")
         assert all(set(b.ties) == {"a", "b", "mid"} for b in dom.boundaries)
 
+    def test_three_way_tie_at_irrational_boundaries(self):
+        # a and b cross at x = 2 -+ sqrt(2)/2; mid is their average and the
+        # clone repeats a, so all four tie at both boundaries
+        ts = TechnologySet(
+            [
+                Technique("a", (0, 8, 0)),
+                Technique("b", (7, 0, 2)),
+                Technique("mid", (F(7, 2), 4, 1)),
+                Technique("clone", (0, 8, 0)),
+            ]
+        )
+        dom = dominance_map(ts, F(0), F(2))
+        assert dom.winners == ("a", "b", "a")
+        assert len(dom.boundaries) == 2
+        for boundary in dom.boundaries:
+            assert boundary.interest_exact is None
+            assert set(boundary.ties) == {"a", "b", "mid", "clone"}
+
+    def test_tie_sets_read_from_the_cuts(self, monkeypatch):
+        # the pair's two cuts are distinct roots of its own difference, and
+        # each boundary's tie is the pair the cut records: no gcd at all
+        calls = []
+        original = switching.poly_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(switching, "poly_gcd", counting)
+        ts = TechnologySet([Technique("a", (0, 8, 0)), Technique("b", (7, 0, 2))])
+        dom = dominance_map(ts, F(0), F(2))
+        assert [set(b.ties) for b in dom.boundaries] == [{"a", "b"}, {"a", "b"}]
+        assert calls == []
+
+    def test_even_tie_at_a_cut_joins_the_tie_set(self):
+        # c - a = x (2x^2 - 8x + 7)^2 / 14 touches zero where a and b cross,
+        # so c ties a there without crossing it; only a gcd test sees that
+        ts = TechnologySet(
+            [
+                Technique("a", (0, 8, 0, F(16, 7))),
+                Technique("b", (7, 0, 2, F(16, 7))),
+                Technique("c", (F(7, 2), 0, F(46, 7), 0, F(2, 7))),
+            ]
+        )
+        dom = dominance_map(ts, F(0), F(2))
+        assert dom.winners == ("a", "b", "a")
+        assert [t.pair for t in dom.tangencies] == [("a", "c"), ("a", "c")]
+        assert [set(b.ties) for b in dom.boundaries] == [{"a", "b", "c"}] * 2
+
     def test_matches_brute_force_at_grid(self):
         rng = random.Random(4242)
         for _ in range(8):
