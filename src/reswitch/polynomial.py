@@ -17,7 +17,7 @@ The isolation routine combines three exact ingredients:
   integer vector and returned as degenerate (point) intervals: each
   candidate num/den is tested in integers, by homogenized Horner after cheap
   divisibility filters at x = 1 and x = -1, and each root found is divided
-  out exactly by synthetic division by (den*x - num);
+  out by (den*x - num) with the same exact integer division;
 * the remaining (irrational) roots, those of the integer quotient, are
   bracketed by Sturm-count bisection, so the interval count is provably
   exhaustive.
@@ -184,11 +184,6 @@ def _int_vector(p: Polynomial) -> list[int]:
     return _primitive_ints([c.numerator * (den // c.denominator) for c in p.coeffs])
 
 
-def _monic_of(v: Sequence[int]) -> Polynomial:
-    lead = v[-1]
-    return Polynomial(Fraction(c, lead) for c in v)
-
-
 def _derivative_ints(v: Sequence[int]) -> list[int]:
     return [k * v[k] for k in range(1, len(v))]
 
@@ -261,16 +256,16 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor over Q (gcd with zero is the other)."""
     g = _primitive_gcd(_int_vector(a), _int_vector(b))
-    return _monic_of(g) if g else Polynomial()
+    return Polynomial(g).monic()
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     if p.is_zero:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
     f = _int_vector(p)
-    if len(f) == 1:
-        return _monic_of(f)
-    return _monic_of(_exact_quotient(f, _primitive_gcd(f, _derivative_ints(f))))
+    if len(f) > 1:
+        f = _exact_quotient(f, _primitive_gcd(f, _derivative_ints(f)))
+    return Polynomial(f).monic()
 
 
 def _yun_ints(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
@@ -303,21 +298,15 @@ def _yun_ints(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
     return sf, out
 
 
-def _yun(p: Polynomial) -> tuple[Polynomial, list[tuple[Polynomial, int]]]:
-    """Yun's algorithm: the monic square-free part of p (its first quotient
-    p / gcd(p, p')) together with the decomposition [(f_k, k)]."""
-    f = _int_vector(p)
-    if len(f) == 1:
-        return _monic_of(f), []
-    sf, factors = _yun_ints(f)
-    return _monic_of(sf), [(_monic_of(a), k) for a, k in factors]
-
-
 def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition: [(f_k, k)] with p proportional to prod f_k**k."""
+    """Yun decomposition: [(f_k, k)], each f_k monic, with p proportional to
+    prod f_k**k."""
     if p.is_zero:
         raise ZeroPolynomialError("decomposition of the zero polynomial")
-    return _yun(p)[1]
+    f = _int_vector(p)
+    if len(f) == 1:
+        return []
+    return [(Polynomial(a).monic(), k) for a, k in _yun_ints(f)[1]]
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
@@ -391,23 +380,6 @@ def _scaled_value(coeffs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
-def _divide_linear(coeffs: Sequence[int], num: int, den: int) -> list[int]:
-    """The integer quotient of f by (den*x - num), num/den a root of f.
-
-    Synthetic division from the top: each quotient coefficient is
-    (c_j + num * b_j) / den, an integer by Gauss's lemma, since
-    (den*x - num) is primitive.
-    """
-    out = []
-    carry = 0
-    for c in reversed(coeffs[1:]):
-        b = (c + carry) // den
-        out.append(b)
-        carry = num * b
-    out.reverse()
-    return out
-
-
 def _rational_roots_of_squarefree(
     f: Sequence[int],
 ) -> tuple[list[Fraction], list[int]]:
@@ -439,7 +411,7 @@ def _rational_roots_of_squarefree(
                     continue
                 if _scaled_value(coeffs, r, den) == 0:
                     roots.append(Fraction(r, den))
-                    coeffs = _divide_linear(coeffs, r, den)
+                    coeffs = _exact_quotient(coeffs, [-r, den])
                     f1, fm1 = _values_at_unit_points(coeffs)
     return sorted(roots), coeffs
 

@@ -26,7 +26,6 @@ from reswitch import (
     refine_root,
 )
 from reswitch.polynomial import (
-    _yun,
     cauchy_root_bound,
     count_distinct_roots,
     poly_gcd,
@@ -118,10 +117,9 @@ class TestStructure:
             p = poly(rng.choice((-3, 2, 5, F(1, 2))))
             for f in factors + [rng.choice(factors)]:
                 p = p * f
-            sf, decomposition = _yun(p)
-            assert sf == squarefree_part(p)
+            assert squarefree_part(p) == (p // poly_gcd(p, p.derivative())).monic()
             product = poly(1)
-            for f, k in decomposition:
+            for f, k in squarefree_decomposition(p):
                 for _ in range(k):
                     product = product * f
             assert product == p.monic()
@@ -379,7 +377,6 @@ class TestIntegerAlgebra:
             assert [
                 (list(f.coeffs), k) for f, k in squarefree_decomposition(Polynomial(p))
             ] == factors
-            assert _yun(Polynomial(p))[0] == squarefree_part(Polynomial(p))
         kinds = ("zero", "constant", "negative_lead", "fraction", "squared", "cubed")
         for kind in kinds + self.KINDS:
             assert seen[kind] >= 20, (kind, seen)
