@@ -7,11 +7,14 @@ price path cannot do. A pair (j, k) is complementary when raising the price
 of input j alone makes the chosen technique switch to one that uses less of
 input k.
 
-For two techniques the switch locus is a hyperplane in price space, so
-witnesses are constructed analytically and exactly. Larger menus fall back
-to a documented deterministic grid search (rational price points rounded
-exactly from log spacing; all cost comparisons at those points remain
-exact).
+Techniques with identical labor profiles are one input-demand choice, so
+each search first collapses them to the first of them in menu order; a clone
+would otherwise tie wherever its twin is cheapest, and a tie never counts as
+a switch. For two distinct profiles the switch locus is a hyperplane in
+price space, so witnesses are constructed analytically and exactly. Larger
+menus fall back to a documented deterministic grid search (rational price
+points rounded exactly from log spacing; all cost comparisons at those
+points remain exact).
 """
 
 from __future__ import annotations
@@ -192,6 +195,12 @@ def _grid_witness(
     return None
 
 
+def _distinct(ts: TechnologySet) -> TechnologySet:
+    """ts with each labor profile kept once, by its first technique."""
+    reps, _ = ts.distinct_profiles()
+    return ts if len(reps) == len(ts) else TechnologySet(reps, ts.wage)
+
+
 def complementarity_witness(
     ts: TechnologySet,
     pair: tuple[int, int],
@@ -201,8 +210,8 @@ def complementarity_witness(
 ) -> Optional[ComplementarityWitness]:
     """Search for a witness that the ordered lag pair (j, k) is complementary.
 
-    Returns None when the searched region shows none (for two techniques the
-    analytic search is exhaustive over all positive prices).
+    Returns None when the searched region shows none (for two distinct
+    profiles the analytic search is exhaustive over all positive prices).
     """
     j, k = pair
     if j == k:
@@ -210,6 +219,7 @@ def complementarity_witness(
     for lag in (j, k):
         if lag < 1 or lag > ts.horizon:
             raise ValueError(f"lag {lag} outside horizon 1..{ts.horizon}")
+    ts = _distinct(ts)
     if len(ts) == 1:
         return None
     if len(ts) == 2:
@@ -221,11 +231,12 @@ def find_complementary_pair(
     ts: TechnologySet, grid_points: int = GRID_POINTS
 ) -> Optional[ComplementarityWitness]:
     """First complementary pair in lexicographic (j, k) order, if any."""
+    distinct = _distinct(ts)
     for j in range(1, ts.horizon + 1):
         for k in range(1, ts.horizon + 1):
             if j == k:
                 continue
-            witness = complementarity_witness(ts, (j, k), grid_points=grid_points)
+            witness = complementarity_witness(distinct, (j, k), grid_points=grid_points)
             if witness is not None:
                 return witness
     return None

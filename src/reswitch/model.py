@@ -183,6 +183,23 @@ class TechnologySet:
     def names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.techniques)
 
+    def distinct_profiles(self) -> tuple[list[Technique], dict[str, list[str]]]:
+        """The first technique of each distinct labor profile, in menu order,
+        and for each of them the names of the later techniques sharing its
+        profile. Techniques with one profile cost the same at every price, so
+        the dominance map and the complementarity search count them once."""
+        reps: list[Technique] = []
+        aliases: dict[str, list[str]] = {}
+        for tech in self.techniques:
+            for rep in reps:
+                if rep.labor == tech.labor:
+                    aliases[rep.name].append(tech.name)
+                    break
+            else:
+                reps.append(tech)
+                aliases[tech.name] = []
+        return reps, aliases
+
     def get(self, name: str) -> Technique:
         for t in self.techniques:
             if t.name == name:

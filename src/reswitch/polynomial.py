@@ -25,8 +25,11 @@ The isolation routine combines three exact ingredients:
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
 case lo == hi). One routine, `_narrow`, bisects every root bracket, here and
-in `switching`, on p itself at an odd-multiplicity root; a square-free part
-is computed only to bisect an even-multiplicity root (`_bisection_poly`).
+in `switching`, on a primitive integer vector: p's own at an odd-multiplicity
+root; a square-free part is computed only to bisect an even-multiplicity root
+(`_bisection_poly`). Each midpoint's sign is read by homogenized Horner, as
+den**n * f(num/den) with den > 0, so every bisection step takes the same half
+as it would over the rationals; callers convert a polynomial once per bracket.
 """
 
 from __future__ import annotations
@@ -259,13 +262,17 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(g).monic()
 
 
+def _squarefree_ints(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for a nonzero primitive integer vector f."""
+    if len(f) == 1:
+        return f
+    return _exact_quotient(f, _primitive_gcd(f, _derivative_ints(f)))
+
+
 def squarefree_part(p: Polynomial) -> Polynomial:
     if p.is_zero:
         raise ZeroPolynomialError("square-free part of the zero polynomial")
-    f = _int_vector(p)
-    if len(f) > 1:
-        f = _exact_quotient(f, _primitive_gcd(f, _derivative_ints(f)))
-    return Polynomial(f).monic()
+    return Polynomial(_squarefree_ints(_int_vector(p))).monic()
 
 
 def _yun_ints(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
@@ -380,6 +387,11 @@ def _scaled_value(coeffs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
+def _sign_at(f: Sequence[int], x: Fraction) -> int:
+    """A value with the sign of f(x): den**n * f(num/den), as den > 0."""
+    return _scaled_value(f, x.numerator, x.denominator)
+
+
 def _rational_roots_of_squarefree(
     f: Sequence[int],
 ) -> tuple[list[Fraction], list[int]]:
@@ -438,47 +450,58 @@ class RootInterval:
 
 
 def _narrow(
-    p: Polynomial, a: Fraction, b: Fraction, more: Callable[[Fraction, Fraction], bool]
+    f: Sequence[int], a: Fraction, b: Fraction, more: Callable[[Fraction, Fraction], bool]
 ) -> tuple[Fraction, Fraction]:
-    """Bisect the bracket [a, b], across which p changes sign, keeping the
-    half where the sign changes, for as long as more(a, b) holds.
+    """Bisect the bracket [a, b], across which the integer vector f changes
+    sign, keeping the half where the sign changes, for as long as more(a, b)
+    holds.
 
-    A midpoint that is a root of p comes back as (m, m).
+    A midpoint that is a root of f comes back as (m, m).
     """
-    a_negative = p(a) < 0
+    a_negative = _sign_at(f, a) < 0
     while more(a, b):
         m = (a + b) / 2
-        pm = p(m)
-        if pm == 0:
+        fm = _sign_at(f, m)
+        if fm == 0:
             return m, m
-        if (pm < 0) == a_negative:
+        if (fm < 0) == a_negative:
             a = m
         else:
             b = m
     return a, b
 
 
-def _bisection_poly(p: Polynomial, a: Fraction, b: Fraction) -> Polynomial:
-    """What to bisect a root bracket of p on: p when it changes sign across
-    [a, b], else (an even root) the square-free part, which always does."""
-    if p(a) * p(b) < 0:
-        return p
-    sf = squarefree_part(p)
-    if sf(a) * sf(b) >= 0:
+def _changes_sign(f: Sequence[int], a: Fraction, b: Fraction) -> bool:
+    fa, fb = _sign_at(f, a), _sign_at(f, b)
+    return (fa < 0 < fb) or (fb < 0 < fa)
+
+
+def _bisection_poly(p: Polynomial, a: Fraction, b: Fraction) -> list[int]:
+    """The integer vector to bisect a root bracket of p on: p's own when p
+    changes sign across [a, b], else (an even root) its square-free part's,
+    which always does."""
+    if p.is_zero:
+        raise ZeroPolynomialError("cannot bisect on the zero polynomial")
+    f = _int_vector(p)
+    if _changes_sign(f, a, b):
+        return f
+    sf = _squarefree_ints(f)
+    if not _changes_sign(sf, a, b):
         raise ValueError("interval is not an isolating interval for p")
     return sf
 
 
 def _isolate_irrational(
-    q: Polynomial, lo: Fraction, hi: Fraction, excluded: Sequence[Fraction]
+    q: list[int], lo: Fraction, hi: Fraction, excluded: Sequence[Fraction]
 ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint sign-change brackets for every root of q in (lo, hi).
+    """Disjoint sign-change brackets for every root of the integer vector q
+    in (lo, hi).
 
     q must be square-free with no rational roots in the range.
     """
-    if q.degree is None or q.degree < 1 or hi <= lo:
+    if len(q) < 2 or hi <= lo:
         return []
-    chain = sturm_chain(q)
+    chain = sturm_chain(Polynomial(q))
     cache: dict[Fraction, int] = {}
 
     def var(point: Fraction) -> int:
@@ -497,7 +520,7 @@ def _isolate_irrational(
             out.append(_narrow(q, a, b, lambda a, b: any(a <= e <= b for e in excluded)))
             continue
         m = (a + b) / 2
-        assert q(m) != 0
+        assert _sign_at(q, m) != 0
         stack.append((a, m))
         stack.append((m, b))
     out.sort()
@@ -529,25 +552,19 @@ def _isolate(
         return r >= lo and (hi is None or r <= hi)
 
     rational, quotient = _rational_roots_of_squarefree(sf)
-    deflated = Polynomial(quotient)
 
-    bound = hi if hi is not None else max(lo + 1, cauchy_root_bound(deflated))
-    brackets = _isolate_irrational(deflated, lo, bound, rational)
-
-    # den**n * f(num/den) has the sign of f(num/den)
-    def sign_at(f: Sequence[int], x: Fraction) -> int:
-        return _scaled_value(f, x.numerator, x.denominator)
+    bound = hi if hi is not None else max(lo + 1, cauchy_root_bound(Polynomial(quotient)))
+    brackets = _isolate_irrational(quotient, lo, bound, rational)
 
     def parity_exact(r: Fraction) -> str:
         for f, k in factors:
-            if sign_at(f, r) == 0:
+            if _sign_at(f, r) == 0:
                 return _parity_of(k)
         raise AssertionError("exact root not in any square-free factor")
 
     def parity_bracket(a: Fraction, b: Fraction) -> str:
         for f, k in factors:
-            fa, fb = sign_at(f, a), sign_at(f, b)
-            if fa != 0 and fb != 0 and (fa < 0) != (fb < 0):
+            if _changes_sign(f, a, b):
                 return _parity_of(k)
         raise AssertionError("bracketed root not in any square-free factor")
 
@@ -586,9 +603,9 @@ def isolate_roots_closed(
 def refine_root(interval: RootInterval, p: Polynomial, tol: Fraction) -> Fraction:
     """Rational approximation within tol of the root certified by `interval`.
 
-    Exact roots are returned unchanged. A bracket is bisected on p itself
-    when p changes sign across it (odd multiplicity), otherwise on the
-    square-free part of p, which changes sign at every real root.
+    Exact roots are returned unchanged. A bracket is bisected on p's integer
+    vector when p changes sign across it (odd multiplicity), otherwise on the
+    square-free part's, which changes sign at every real root.
     """
     if interval.is_exact:
         return interval.lo

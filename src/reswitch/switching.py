@@ -13,7 +13,8 @@ record (the difference, its roots and its in-domain ties), which every
 consumer in that call reads; nothing is cached across calls. `dominance_map`
 builds one unit-wage cost polynomial per technique per call, and pair
 differences, gap winners and tie costs all read that table. Brackets are
-narrowed by `polynomial._narrow`, on the tie polynomial itself for odd ties.
+narrowed by `polynomial._narrow` on primitive integer vectors, the tie
+polynomial's own for odd ties, each converted once per bracket or cut.
 
 Each candidate boundary (`_Cut`) records the technique pairs whose odd tie
 it certifies. A boundary's tie set admits those pairs without a gcd; only a
@@ -36,6 +37,7 @@ from .polynomial import (
     Polynomial,
     RootInterval,
     _bisection_poly,
+    _int_vector,
     _narrow,
     cauchy_root_bound,
     count_distinct_roots,
@@ -145,8 +147,8 @@ def _clip_bracket(
 
     lo_b, hi_b = iv.lo, iv.hi
     if straddles(lo_b, hi_b):
-        poly = _bisection_poly(d, lo_b, hi_b)
-        lo_b, hi_b = _narrow(poly, lo_b, hi_b, straddles)
+        f = _bisection_poly(d, lo_b, hi_b)
+        lo_b, hi_b = _narrow(f, lo_b, hi_b, straddles)
     if hi_b < xlo or lo_b > xhi:
         return None
     return RootInterval(lo_b, hi_b, iv.parity)
@@ -289,12 +291,13 @@ class _Cut:
     odd ties the cut certifies; a merge or a dedupe takes the union.
     """
 
-    __slots__ = ("poly", "exact", "lo", "hi", "pairs")
+    __slots__ = ("poly", "ints", "exact", "lo", "hi", "pairs")
 
     def __init__(
         self, poly: Polynomial, exact: Optional[Fraction], lo, hi, pairs: set
     ):
         self.poly = poly  # vanishes at the point; basis for gcd tie tests
+        self.ints = None if exact is not None else _int_vector(poly)  # bisected
         self.exact = exact
         self.lo = lo
         self.hi = hi
@@ -311,7 +314,7 @@ class _Cut:
     def narrow(self, more) -> None:
         """Bisect the bracket while more(lo, hi) holds; exact cuts stay put."""
         if self.exact is None:
-            self.lo, self.hi = _narrow(self.poly, self.lo, self.hi, more)
+            self.lo, self.hi = _narrow(self.ints, self.lo, self.hi, more)
 
     def overlaps(self, other: "_Cut") -> bool:
         return not (self.right < other.left or other.right < self.left)
@@ -382,20 +385,6 @@ def _separate_strictly(cuts: list[_Cut], xlo: Fraction, xhi: Fraction) -> None:
         cuts[-1].narrow(lambda a, b: b >= xhi)
 
 
-def _dedupe_identical(ts: TechnologySet) -> tuple[list[Technique], dict[str, list[str]]]:
-    reps: list[Technique] = []
-    aliases: dict[str, list[str]] = {}
-    for tech in ts.techniques:
-        for rep in reps:
-            if rep.labor == tech.labor:
-                aliases[rep.name].append(tech.name)
-                break
-        else:
-            reps.append(tech)
-            aliases[tech.name] = []
-    return reps, aliases
-
-
 def dominance_map(
     ts: TechnologySet, lo: Fraction = DEFAULT_LO, hi: Fraction = DEFAULT_HI
 ) -> DominanceMap:
@@ -410,7 +399,7 @@ def dominance_map(
     """
     lo, hi = _check_domain(lo, hi)
     xlo, xhi = 1 + lo, 1 + hi
-    reps, aliases = _dedupe_identical(ts)
+    reps, aliases = ts.distinct_profiles()
     wage = ts.wage
 
     if len(reps) == 1:

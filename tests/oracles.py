@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch on stdlib integers and
 fractions, without touching the package's own isolation or dominance code:
 dense sign scans with finite differences, plain bisection, the
 rational-root theorem with every candidate evaluated as a fraction, Euclid's
-gcd and Yun's decomposition by long division over the rationals, direct
+gcd and Yun's decomposition by long division over the rationals, bracket
+bisection with a Fraction evaluation at every midpoint, direct
 cheapest-technique evaluation and a grid scan of a dominance map against
 it, an exact-grid re-check of the factor-price collapse, and the
 floating-point log-spaced price grid.
@@ -188,6 +189,24 @@ def fraction_yun(coeffs) -> tuple[list[Fraction], list[tuple[list[Fraction], int
         d = _fraction_sub(_fraction_divmod(d, a)[0], _fraction_derivative(c))
         k += 1
     return sf, out
+
+
+def fraction_narrow(coeffs, a: Fraction, b: Fraction, more) -> tuple[Fraction, Fraction]:
+    """Bisect [a, b], across which the polynomial (coefficient list, constant
+    term first) changes sign, evaluating it as a Fraction at every midpoint;
+    keep the half where the sign changes while more(a, b) holds. A midpoint
+    that is a root comes back as (m, m)."""
+    a_negative = _poly_eval(coeffs, a) < 0
+    while more(a, b):
+        m = (a + b) / 2
+        value = _poly_eval(coeffs, m)
+        if value == 0:
+            return m, m
+        if (value < 0) == a_negative:
+            a = m
+        else:
+            b = m
+    return a, b
 
 
 def oracle_root_value(entry) -> Fraction:

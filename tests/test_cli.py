@@ -237,6 +237,24 @@ class TestAnalyze:
         assert doc["complementarity"]["demand_before"] == ["6", "0", "2"]
         assert doc["complementarity"]["demand_after"] == ["0", "7", "0"]
 
+    def test_clone_technique_keeps_complementarity(self, tmp_path):
+        # c pads to a's profile; the search counts the two as one technique
+        model = tmp_path / "clone.json"
+        model.write_text(
+            '{"techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
+            ' {"name": "b", "labor": ["6", "0", "2"]},'
+            ' {"name": "c", "labor": ["0", "7"]}]}'
+        )
+        start = time.perf_counter()
+        cp = run_cli("analyze", "--model", str(model))
+        elapsed = time.perf_counter() - start
+        assert cp.returncode == 0, cp.stderr
+        doc = json.loads(cp.stdout)
+        champagne = json.loads(run_cli("analyze", "--model", MODEL).stdout)
+        assert doc["complementarity"] == champagne["complementarity"]
+        assert [s["co_winners"] for s in doc["dominance"]["segments"]] == [["c"], [], ["c"]]
+        assert elapsed < 1
+
     def test_single_technique_all_negative(self, tmp_path):
         model = tmp_path / "single.json"
         model.write_text('{"techniques": [{"name": "a", "labor": ["0", "7", "0"]}]}')

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import product as iter_product
 
@@ -100,6 +101,20 @@ class TestWitness:
     def test_find_first_pair(self):
         w = find_complementary_pair(TS)
         assert w.pair == (1, 3)
+
+    def test_identical_profiles_count_once(self):
+        # c pads to a's profile: wherever a or c is cheapest the choice ties,
+        # and a tie never counts as a switch, so the clone must be collapsed
+        clone = TechnologySet([*TS.techniques, Technique("c", (0, 7))])
+        start = time.perf_counter()
+        expected = find_complementary_pair(TS)
+        assert find_complementary_pair(clone) == expected
+        assert complementarity_witness(clone, (1, 3)) == expected
+        assert complementarity_witness(clone, (2, 1)) is None
+        assert time.perf_counter() - start < 1
+        first = TechnologySet([Technique("c", (0, 7)), *TS.techniques])
+        w = find_complementary_pair(first)
+        assert (w.pair, w.technique_before, w.technique_after) == ((1, 3), "b", "c")
 
 
 class TestOwnPriceLaw:

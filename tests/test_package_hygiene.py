@@ -1,5 +1,6 @@
-"""Static checks on the package source: it imports only the standard library
-and itself, and no binary float enters a computation.
+"""Static checks on the package source: it parses as the oldest Python the
+package declares, it imports only the standard library and itself, and no
+binary float enters a computation.
 
 The one place floats may appear is the trial generator's sampling
 thresholds in `harness.py`, where `rng.random()` (a float in [0, 1)) is
@@ -55,6 +56,12 @@ def _sampling_thresholds(tree: ast.Module) -> set:
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"polynomial.py", "switching.py", "harness.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python = ">=3.10"
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     bisect_root,
     fraction_gcd,
+    fraction_narrow,
     fraction_yun,
     oracle_root_value,
     rational_roots,
@@ -32,6 +33,7 @@ from reswitch.polynomial import (
     squarefree_decomposition,
     squarefree_part,
 )
+from reswitch.switching import _clip_bracket
 
 X = Polynomial.monomial(1)
 
@@ -464,3 +466,96 @@ class TestRefinement:
         for r in isolate_real_roots(p, F(-10), F(10)):
             if r.parity == ODD and not r.is_exact:
                 assert p(r.lo) * p(r.hi) < 0
+
+
+class TestIntegerBisection:
+    """_narrow bisects primitive integer vectors, reading each midpoint's sign
+    by homogenized Horner; every bracket it returns, and so every refine_root
+    and _clip_bracket result, must equal bisection with a Fraction evaluation
+    at every midpoint."""
+
+    @staticmethod
+    def random_poly(rng):
+        out = [F(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 7)))]
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.3:  # a dyadic root, which a midpoint can hit
+                f = [-rng.randint(-40, 40), 2 ** rng.randint(0, 3)]
+            else:
+                f = TestIntegerAlgebra.factor(rng)[1]
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                out = int_product([out, f])
+        return out
+
+    def test_bisection_matches_fraction_oracle(self):
+        rng = random.Random(1979)
+        seen = Counter()
+        for _ in range(320):
+            coeffs = self.random_poly(rng)
+            p = Polynomial(coeffs)
+            sf = fraction_yun(coeffs)[0]
+            for iv in isolate_real_roots(p, F(-10), F(10)):
+                if iv.is_exact:
+                    continue
+                lo, hi = iv.lo, iv.hi
+                odd = p(lo) * p(hi) < 0
+                s = coeffs if odd else sf
+                seen["odd" if odd else "even"] += 1
+                f = polynomial._bisection_poly(p, lo, hi)
+
+                tol = F(1, rng.choice((10**3, 10**9, 2**40)))
+                a, b = fraction_narrow(s, lo, hi, lambda a, b: b - a >= tol)
+                assert refine_root(iv, p, tol) == (a + b) / 2
+
+                # rational points to narrow away from, as isolation does
+                points = [lo + (hi - lo) * F(rng.randint(1, 13), 14) for _ in range(2)]
+
+                def away(a, b):
+                    return any(a <= e <= b for e in points)
+
+                assert polynomial._narrow(f, lo, hi, away) == fraction_narrow(s, lo, hi, away)
+
+                xlo = lo + (hi - lo) * F(rng.randint(-3, 9), 7)
+                xhi = xlo + (hi - lo) * F(rng.randint(0, 9), 7)
+
+                def straddles(a, b):
+                    return not (b < xlo or a > xhi or (xlo <= a and b <= xhi))
+
+                a, b = lo, hi
+                if straddles(a, b):
+                    a, b = fraction_narrow(s, a, b, straddles)
+                    seen["clip_narrowed"] += 1
+                inside = not (b < xlo or a > xhi)
+                seen["clip_kept" if inside else "clip_dropped"] += 1
+                expected = RootInterval(a, b, iv.parity) if inside else None
+                assert _clip_bracket(p, iv, xlo, xhi) == expected
+
+            # unit grid brackets, some of them holding a dyadic root that a
+            # midpoint hits exactly
+            f = polynomial._int_vector(p)
+            for k in range(-10, 10):
+                lo, hi = F(k), F(k + 1)
+                if p(lo) * p(hi) >= 0:
+                    continue
+                got = polynomial._narrow(f, lo, hi, lambda a, b: b - a >= F(1, 2**20))
+                assert got == fraction_narrow(coeffs, lo, hi, lambda a, b: b - a >= F(1, 2**20))
+                seen["midpoint_root" if got[0] == got[1] else "grid"] += 1
+        minimum = {"odd": 150, "even": 50, "clip_narrowed": 150, "clip_kept": 60,
+                   "clip_dropped": 130, "midpoint_root": 30, "grid": 130}
+        for kind, count in minimum.items():
+            assert seen[kind] >= count, (kind, seen)
+
+    def test_odd_bracket_refined_without_fraction_evaluation(self, monkeypatch):
+        p = poly(-2, 0, 1) * poly(-3, 1)  # (x^2 - 2)(x - 3)
+        (root,) = isolate_real_roots(p, F(1), F(2))
+        calls = []
+        original = Polynomial.__call__
+
+        def counting(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(Polynomial, "__call__", counting)
+        assert refine_root(root, p, F(1, 10**9)) == bisect_root(
+            lambda x: x * x - 2, root.lo, root.hi, F(1, 10**9)
+        )
+        assert calls == []
