@@ -41,7 +41,7 @@ from .factorspace import (
 from .harness import GeneratorConfig, run_falsification
 from .model import Technique, TechnologySet
 from .rationals import format_fixed, parse_rational
-from .switching import cost_ratio_curve, detect_reswitching, pairwise_switch_points
+from .switching import MenuAnalysis, cost_ratio_curve, detect_reswitching
 
 MIN_ROW_PLACES = 4  # the starred minimum row keeps extra digits
 MAX_GRID_POINTS = 100_001  # cap on `curves --grid`, checked before allocating
@@ -322,15 +322,15 @@ def cmd_curves(args) -> int:
     return 0
 
 
-def _switch_point_json(sp) -> dict:
+def _switch_point_json(sp, places: int) -> dict:
     return {
         "pair": [sp.cheaper_below, sp.cheaper_above],
         "interest_exact": str(sp.interest_exact) if sp.is_exact else None,
-        "interest": format_fixed(sp.interest_approx * 100, 2),
+        "interest": format_fixed(sp.interest_approx * 100, places),
         "cheaper_below": sp.cheaper_below,
         "cheaper_above": sp.cheaper_above,
         "tie_cost_exact": str(sp.tie_cost_exact) if sp.tie_cost_exact is not None else None,
-        "tie_cost": format_fixed(sp.tie_cost_approx, 2),
+        "tie_cost": format_fixed(sp.tie_cost_approx, places),
     }
 
 
@@ -339,15 +339,17 @@ def cmd_analyze(args) -> int:
     lo, hi = (Fraction(0), Fraction(2))
     if args.domain:
         lo, hi = parse_domain(args.domain, args.unit)
+    places = args.precision if args.precision is not None else 2
 
-    report = detect_reswitching(ts, lo, hi)
+    # every pair below is isolated once, into this command's analysis
+    analysis = MenuAnalysis(ts, lo, hi)
+    report = detect_reswitching(ts, lo, hi, analysis=analysis)
     switch_points = []
-    if len(ts) >= 2:
-        for u, v in combinations(ts.techniques, 2):
-            try:
-                switch_points.extend(pairwise_switch_points(u, v, lo, hi, ts.wage))
-            except ReswitchError:
-                continue
+    for u, v in combinations(ts.techniques, 2):
+        try:
+            switch_points.extend(analysis.switch_points(u, v))
+        except ReswitchError:
+            continue
     switch_points.sort(key=lambda sp: sp.interest_approx)
 
     theorem = None
@@ -394,9 +396,9 @@ def cmd_analyze(args) -> int:
                     "interest_exact": str(b.interest_exact)
                     if b.interest_exact is not None
                     else None,
-                    "interest": format_fixed(b.interest_approx * 100, 2),
+                    "interest": format_fixed(b.interest_approx * 100, places),
                     "ties": list(b.ties),
-                    "tie_cost": format_fixed(b.tie_cost_approx, 2),
+                    "tie_cost": format_fixed(b.tie_cost_approx, places),
                     "tie_cost_exact": str(b.tie_cost_exact)
                     if b.tie_cost_exact is not None
                     else None,
@@ -404,14 +406,14 @@ def cmd_analyze(args) -> int:
                 for b in report.map.boundaries
             ],
         },
-        "switch_points": [_switch_point_json(sp) for sp in switch_points],
+        "switch_points": [_switch_point_json(sp, places) for sp in switch_points],
         "reswitching": {
             "found": report.reswitching,
             "recurring": report.recurring,
             "tangencies": [
                 {
                     "pair": list(t.pair),
-                    "interest": format_fixed(t.interest_approx * 100, 2),
+                    "interest": format_fixed(t.interest_approx * 100, places),
                 }
                 for t in report.tangencies
             ],
@@ -456,9 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_model=True):
-        if need_model:
-            p.add_argument("--model", required=True, help="model JSON path")
+    def add_common(p, exact=True):
+        p.add_argument("--model", required=True, help="model JSON path")
         p.add_argument(
             "--unit",
             choices=("percent", "fraction"),
@@ -472,11 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="decimal places for rendered values (default 2; the starred "
             "minimum row keeps 4 unless overridden)",
         )
-        p.add_argument(
-            "--exact",
-            action="store_true",
-            help="append exact-rational columns to CSV output",
-        )
+        if exact:
+            p.add_argument(
+                "--exact",
+                action="store_true",
+                help="append exact-rational columns to CSV output",
+            )
 
     p1 = sub.add_parser("table1", help="unit cost per technique over interest rates")
     add_common(p1)
@@ -503,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.set_defaults(func=cmd_curves)
 
     pa = sub.add_parser("analyze", help="full JSON analysis of one model")
-    add_common(pa)
+    add_common(pa, exact=False)  # the JSON carries every exact value
     pa.add_argument("--domain", help="interest domain LO:HI (default 0:200)")
     pa.set_defaults(func=cmd_analyze)
 

@@ -8,13 +8,20 @@ tie points (tangencies, where two cost curves touch without crossing) never
 enter the dominance map's segments or boundaries; the same pass over the
 technique pairs collects them into `DominanceMap.tangencies`.
 
-Each pair's cost difference is isolated once per call into a `_PairTies`
-record (the difference, its roots and its in-domain ties), which every
-consumer in that call reads; nothing is cached across calls. `dominance_map`
-builds one unit-wage cost polynomial per technique per call, and pair
-differences, gap winners and tie costs all read that table. Brackets are
-narrowed by `polynomial._narrow` on primitive integer vectors, the tie
-polynomial's own for odd ties, each converted once per bracket or cut.
+A `MenuAnalysis` holds one menu's pair analysis on one domain: the
+checked domain, the representatives of its distinct profiles, one unit-wage
+cost polynomial per representative (pair differences, gap winners and tie
+costs all read that table), and a `_PairTies` record (the difference, its
+roots and its in-domain ties) for each representative pair, isolated the
+first time the pair is asked for. A pair of clones, or a pair asked for in
+the other orientation, reads the same record. The analysis lives as long as
+its caller keeps it: `dominance_map` and `detect_reswitching` build a fresh
+one when given none, `reswitch analyze` builds one per command and hands it
+to every step that reads a pair, and no module-level state or returned
+object refers to an analysis or a record, so nothing outlives the call.
+Brackets are narrowed by `polynomial._narrow` on primitive integer vectors,
+the tie polynomial's own for odd ties, each converted once per bracket or
+cut.
 
 Each candidate boundary (`_Cut`) records the technique pairs whose odd tie
 it certifies. A boundary's tie set admits those pairs without a gcd; only a
@@ -216,23 +223,12 @@ def _to_interest(iv: RootInterval) -> RootInterval:
     return RootInterval(iv.lo - 1, iv.hi - 1, iv.parity)
 
 
-def pairwise_switch_points(
-    a: Technique,
-    b: Technique,
-    lo: Fraction = DEFAULT_LO,
-    hi: Fraction = DEFAULT_HI,
-    wage: Fraction = Fraction(1),
+def _switch_points(
+    a: Technique, b: Technique, ties: _PairTies, wage: Fraction
 ) -> list[SwitchPoint]:
-    """All odd-multiplicity tie points of the two cost curves in [lo, hi].
-
-    Switch locations do not depend on the wage (the cost difference is
-    homogeneous in it); tie costs are reported at the given wage.
-    """
-    lo, hi = _check_domain(lo, hi)
-    wage = Fraction(wage)
-    ties = _pair_ties(a, b, _difference(a, b), lo, hi)
-    a_pad, _ = _pad_pair(a, b)
-    cost_a = a_pad.cost_polynomial(wage)
+    """The odd ties of a and b, read from the record of d = cost_a - cost_b,
+    with tie costs at the given wage."""
+    cost_a = a.cost_polynomial(wage)
     out = []
     for k, iv in ties.in_domain:
         if iv.parity != ODD:
@@ -258,6 +254,23 @@ def pairwise_switch_points(
     return out
 
 
+def pairwise_switch_points(
+    a: Technique,
+    b: Technique,
+    lo: Fraction = DEFAULT_LO,
+    hi: Fraction = DEFAULT_HI,
+    wage: Fraction = Fraction(1),
+) -> list[SwitchPoint]:
+    """All odd-multiplicity tie points of the two cost curves in [lo, hi].
+
+    Switch locations do not depend on the wage (the cost difference is
+    homogeneous in it); tie costs are reported at the given wage.
+    """
+    lo, hi = _check_domain(lo, hi)
+    wage = Fraction(wage)
+    return _switch_points(a, b, _pair_ties(a, b, _difference(a, b), lo, hi), wage)
+
+
 def _tangencies(a: Technique, b: Technique, ties: _PairTies) -> list[Tangency]:
     out = []
     for _, iv in ties.in_domain:
@@ -280,6 +293,61 @@ def pairwise_tangencies(
     """Even-multiplicity tie points of the pair in [lo, hi]."""
     lo, hi = _check_domain(lo, hi)
     return _tangencies(a, b, _pair_ties(a, b, _difference(a, b), lo, hi))
+
+
+class MenuAnalysis:
+    """The pair analysis of one menu on one interest domain, for one call.
+
+    It checks the domain, collapses identical profiles and builds the
+    representatives' unit-wage cost polynomials once, and isolates each
+    representative pair the first time it is asked for. Clones read their
+    representative's record, and the other orientation reads it with the
+    difference negated: isolation, clipping and bisection make the same
+    choices for -d as for d, so the roots and brackets are the same. No
+    object it returns refers to it.
+    """
+
+    def __init__(
+        self, ts: TechnologySet, lo: Fraction = DEFAULT_LO, hi: Fraction = DEFAULT_HI
+    ):
+        self.ts = ts
+        self.lo, self.hi = _check_domain(lo, hi)
+        self.reps, self.aliases = ts.distinct_profiles()
+        # name -> name of the representative sharing its profile
+        self.rep_of = {
+            name: rep.name
+            for rep in self.reps
+            for name in (rep.name, *self.aliases[rep.name])
+        }
+        self.unit = {r.name: r.cost_polynomial(Fraction(1)) for r in self.reps}
+        self._members = {t.name: t for t in ts.techniques}
+        self._rank = {r.name: k for k, r in enumerate(self.reps)}
+        self._ties: dict[tuple[str, str], _PairTies] = {}
+
+    def pair_ties(self, a: Technique, b: Technique) -> _PairTies:
+        """The tie record of d = cost_a - cost_b for two menu techniques."""
+        for tech in (a, b):
+            if self._members.get(tech.name) != tech:
+                raise ValueError(f"technique {tech.name!r} is not on this menu")
+        ra, rb = self.rep_of[a.name], self.rep_of[b.name]
+        if ra == rb:
+            raise IdenticalTechniquesError(
+                f"techniques {a.name!r} and {b.name!r} have identical costs everywhere"
+            )
+        flip = self._rank[ra] > self._rank[rb]
+        key = (rb, ra) if flip else (ra, rb)
+        ties = self._ties.get(key)
+        if ties is None:
+            u, v = key
+            d = self.unit[u] - self.unit[v]
+            ties = _pair_ties(a, b, d, self.lo, self.hi)
+            self._ties[key] = ties
+        return _PairTies(-ties.d, ties.full, ties.in_domain) if flip else ties
+
+    def switch_points(self, a: Technique, b: Technique) -> list[SwitchPoint]:
+        """`pairwise_switch_points(a, b, lo, hi, ts.wage)`, read from the
+        shared record."""
+        return _switch_points(a, b, self.pair_ties(a, b), self.ts.wage)
 
 
 class _Cut:
@@ -386,7 +454,11 @@ def _separate_strictly(cuts: list[_Cut], xlo: Fraction, xhi: Fraction) -> None:
 
 
 def dominance_map(
-    ts: TechnologySet, lo: Fraction = DEFAULT_LO, hi: Fraction = DEFAULT_HI
+    ts: TechnologySet,
+    lo: Fraction = DEFAULT_LO,
+    hi: Fraction = DEFAULT_HI,
+    *,
+    analysis: Optional[MenuAnalysis] = None,
 ) -> DominanceMap:
     """Partition [lo, hi] into segments whose interior has a strict unique
     cost minimizer; ties occur only at the recorded boundaries.
@@ -395,29 +467,32 @@ def dominance_map(
     reported as co-winners of its segments. The same walk over the
     representative pairs collects their even-multiplicity ties in [lo, hi]
     as `tangencies`, sorted by approximate interest rate (stable, in pair
-    order), so callers need not isolate any pair again.
+    order), so callers need not isolate any pair again. Pair records are
+    read from `analysis` (a fresh `MenuAnalysis(ts, lo, hi)` by default);
+    one built for another menu or domain raises ValueError.
     """
-    lo, hi = _check_domain(lo, hi)
+    if analysis is None:
+        analysis = MenuAnalysis(ts, lo, hi)
+    elif analysis.ts is not ts or _check_domain(lo, hi) != (analysis.lo, analysis.hi):
+        raise ValueError("the analysis was built for another menu or domain")
+    lo, hi = analysis.lo, analysis.hi
     xlo, xhi = 1 + lo, 1 + hi
-    reps, aliases = ts.distinct_profiles()
+    reps, aliases = analysis.reps, analysis.aliases
     wage = ts.wage
 
     if len(reps) == 1:
         seg = Segment(lo, hi, reps[0].name, tuple(aliases[reps[0].name]))
         return DominanceMap((lo, hi), (seg,), ())
 
-    # built once per call and read by every step below: pair differences,
-    # gap winners (the wage is positive, so unit costs have the same
-    # argmin) and tie sets; tie costs are the wage times the unit cost
-    unit = {r.name: r.cost_polynomial(Fraction(1)) for r in reps}
-    rep_of = {
-        name: rep.name for rep in reps for name in (rep.name, *aliases[rep.name])
-    }
+    # read by every step below: pair differences, gap winners (the wage is
+    # positive, so unit costs have the same argmin) and tie sets; tie costs
+    # are the wage times the unit cost
+    unit, rep_of = analysis.unit, analysis.rep_of
 
     cuts: list[_Cut] = []
     tangencies: list[Tangency] = []
     for u, v in combinations(reps, 2):
-        ties = _pair_ties(u, v, unit[u.name] - unit[v.name], lo, hi)
+        ties = analysis.pair_ties(u, v)
         for _, iv in ties.in_domain:
             if iv.parity != ODD:
                 continue
@@ -545,11 +620,15 @@ def dominance_map(
 
 
 def detect_reswitching(
-    ts: TechnologySet, lo: Fraction = DEFAULT_LO, hi: Fraction = DEFAULT_HI
+    ts: TechnologySet,
+    lo: Fraction = DEFAULT_LO,
+    hi: Fraction = DEFAULT_HI,
+    *,
+    analysis: Optional[MenuAnalysis] = None,
 ) -> ReswitchReport:
     """Dominance map plus recurrence verdict: does any technique win on two
-    non-adjacent segments?"""
-    dom = dominance_map(ts, lo, hi)
+    non-adjacent segments? `analysis` is handed to `dominance_map`."""
+    dom = dominance_map(ts, lo, hi, analysis=analysis)
     recurring = None
     seen: list[str] = []
     for name in dom.winners:

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import reswitch.cli as cli
+import reswitch.switching as switching
 from reswitch.cli import MAX_GRID_POINTS, FlagError, load_model, parse_grid
 
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
+# wage 3/2; c clones a; irrational ties at x = 2 -+ sqrt(2)/2
+CLONE_IRR = str(Path(__file__).parent / "data" / "clone_irr.json")
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -295,6 +299,60 @@ class TestAnalyze:
         point_costs = {sp["interest_exact"]: sp["tie_cost_exact"] for sp in points}
         assert point_costs == boundary_costs == {"1/2": "63/2", "1": "56"}
 
+    def test_precision_sets_every_rendered_decimal(self, tmp_path):
+        cp = run_cli("analyze", "--model", CLONE_IRR, "--precision", "5")
+        assert cp.returncode == 0, cp.stderr
+        doc = json.loads(cp.stdout)
+        assert [sp["interest"] for sp in doc["switch_points"]] == [
+            "29.28932", "29.28932", "170.71068", "170.71068"
+        ]
+        # tie cost (3/2) 4 x^2 at x = 2 -+ sqrt(2)/2
+        assert [sp["tie_cost"] for sp in doc["switch_points"]] == [
+            "10.02944", "10.02944", "43.97056", "43.97056"
+        ]
+        boundaries = doc["dominance"]["boundaries"]
+        assert [b["interest"] for b in boundaries] == ["29.28932", "170.71068"]
+        assert [b["tie_cost"] for b in boundaries] == ["10.02944", "43.97056"]
+        # the crossing preimages keep their own six places
+        default = json.loads(run_cli("analyze", "--model", CLONE_IRR).stdout)
+        assert doc["theorem"] == default["theorem"]
+        # a - b = -x (x - 2)^2: costs touch at 100% without switching
+        model = tmp_path / "tangent.json"
+        model.write_text(
+            '{"techniques": [{"name": "a", "labor": ["0", "4", "0"]},'
+            ' {"name": "b", "labor": ["4", "0", "1"]}]}'
+        )
+        for places, shown in ((None, "100.00"), ("0", "100"), ("3", "100.000")):
+            flags = () if places is None else ("--precision", places)
+            cp = run_cli("analyze", "--model", str(model), *flags)
+            assert cp.returncode == 0, cp.stderr
+            tangencies = json.loads(cp.stdout)["reswitching"]["tangencies"]
+            assert tangencies == [{"pair": ["a", "b"], "interest": shown}]
+
+    def test_exact_flag_is_usage_error(self):
+        cp = run_cli("analyze", "--model", MODEL, "--exact")
+        assert cp.returncode == 2
+        assert "--exact" in cp.stderr
+        assert cp.stdout == ""
+        assert "Traceback" not in cp.stderr
+
+    def test_layers_called_by_module_attribute(self, monkeypatch, capsys):
+        # the benchmark's traced run wraps these lookups to time each layer
+        calls = {"detect": 0, "dominance": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "detect_reswitching", counted("detect", cli.detect_reswitching))
+        monkeypatch.setattr(switching, "dominance_map", counted("dominance", switching.dominance_map))
+        assert cli.main(["analyze", "--model", MODEL]) == 0
+        assert json.loads(capsys.readouterr().out)["reswitching"]["found"] is True
+        assert calls == {"detect": 1, "dominance": 1}
+
     @pytest.mark.parametrize(
         "domain, code",
         [("0:abc", 2), ("5:1", 2), ("-100:50", 1)],
@@ -331,8 +389,9 @@ class TestAnalyze:
 
 
 class TestGoldenOutputs:
-    """sha256 of stdout on the champagne model and of two falsify reports;
-    any changed byte fails."""
+    """sha256 of stdout on the champagne model, of `analyze` on a menu with a
+    clone, irrational ties and wage 3/2, and of two falsify reports; any
+    changed byte fails."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -366,6 +425,10 @@ class TestGoldenOutputs:
                 ("falsify", "--seed", "7", "--trials", "300", "--structure", "free",
                  "--horizon-max", "6"),
                 "b866f7fcbf36bfaf44fd302edd185e7c9cb8c94ebaaf1423b9873ee57b15431d",
+            ),
+            (
+                ("analyze", "--model", CLONE_IRR),
+                "54adb610746437268528e48d0becafc01f73c24fe838e9a40a63a37252d79829",
             ),
         ],
     )

@@ -1,15 +1,22 @@
+import contextlib
+import gc
+import io
 import random
+import weakref
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from oracles import bisect_root, cheapest_names
+import reswitch.cli as cli
 import reswitch.polynomial as polynomial
 import reswitch.switching as switching
 from reswitch import (
     DivisionByZeroError,
     IdenticalTechniquesError,
+    MenuAnalysis,
     Technique,
     TechnologySet,
     cost_ratio_curve,
@@ -326,6 +333,44 @@ def _menu_with_tangencies(rng: random.Random) -> TechnologySet:
     return TechnologySet([Technique(f"t{k}", p) for k, p in enumerate(profiles)])
 
 
+def _menu_with_clones(rng: random.Random) -> tuple[TechnologySet, list[bool]]:
+    """2-6 techniques over horizon 3-4 at wage 1 or 5/3: random profiles,
+    crossing pairs b x + c x^3 against a x^2 (irrational ties when
+    b^2 - 4ac is not a square), and clones inserted anywhere in the menu,
+    some written without their trailing zeros. Also returns, per clone,
+    whether it landed before the technique it copies."""
+    horizon = rng.randint(3, 4)
+    size = rng.randint(2, 6)
+    menu: list[tuple[str, tuple[F, ...]]] = []  # names in creation order
+    placed_before = []
+    while len(menu) < size:
+        roll = rng.random()
+        name = f"t{len(menu)}"
+        if menu and roll < 0.3:
+            source = rng.randrange(len(menu))
+            clone = menu[source][1]
+            while len(clone) > 1 and clone[-1] == 0 and rng.random() < 0.5:
+                clone = clone[:-1]
+            at = rng.randrange(len(menu) + 1)
+            menu.insert(at, (name, clone))
+            placed_before.append(at <= source)
+        elif roll < 0.6 and len(menu) + 2 <= size:
+            s = rng.randint(2, horizon - 1)
+            single, pair = [F(0)] * horizon, [F(0)] * horizon
+            single[s - 1] = F(rng.randint(3, 9))
+            pair[s - 2] = F(rng.randint(1, 7), rng.choice((1, 2)))
+            pair[s] = F(rng.randint(1, 3))
+            menu += [(name, tuple(single)), (f"t{len(menu) + 1}", tuple(pair))]
+        else:
+            prof = [F(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(horizon)]
+            if all(v == 0 for v in prof):
+                prof[rng.randrange(horizon)] = F(1)
+            menu.append((name, tuple(prof)))
+    wage = rng.choice((F(1), F(5, 3)))
+    ts = TechnologySet([Technique(n, p) for n, p in menu], wage=wage)
+    return ts, placed_before
+
+
 class TestSharedPairAnalysis:
     def _count_isolations(self, monkeypatch) -> list:
         calls = []
@@ -391,6 +436,88 @@ class TestSharedPairAnalysis:
             irrational += sum(t.interest_exact is None for t in expected)
             duplicated += len(reps) < len(ts)
         assert planted >= 20 and irrational >= 5 and duplicated >= 10
+
+    @pytest.mark.parametrize("model", ["samuelson.json", "clone_irr.json"])
+    def test_analyze_isolates_each_pair_once(self, monkeypatch, model):
+        # one representative pair each; clone_irr.json also reads it through
+        # the clone c and in the other orientation
+        calls = self._count_isolations(monkeypatch)
+        path = str(Path(__file__).parent / "data" / model)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["analyze", "--model", path]) == 0
+        assert len(calls) == 1
+
+    def test_analysis_reads_match_standalone_calls(self):
+        placements, wages, irrational = [], set(), 0
+        for seed in range(220):
+            ts, placed_before = _menu_with_clones(random.Random(seed))
+            placements += placed_before
+            wages.add(ts.wage)
+            lo, hi = ((F(0), F(2)), (F(-1, 4), F(5, 2)))[seed % 2]
+            analysis = MenuAnalysis(ts, lo, hi)
+            read_first = seed % 3 == 0
+            if read_first:
+                dom = dominance_map(ts, lo, hi, analysis=analysis)
+            for u, v in permutations(ts.techniques, 2):
+                if u.labor == v.labor:
+                    with pytest.raises(IdenticalTechniquesError):
+                        analysis.switch_points(u, v)
+                    with pytest.raises(IdenticalTechniquesError):
+                        pairwise_switch_points(u, v, lo, hi, ts.wage)
+                    continue
+                shared = analysis.switch_points(u, v)
+                alone = pairwise_switch_points(u, v, lo, hi, ts.wage)
+                assert repr(shared) == repr(alone), (seed, u.name, v.name)
+                irrational += sum(not sp.is_exact for sp in alone)
+            if not read_first:
+                dom = dominance_map(ts, lo, hi, analysis=analysis)
+            assert repr(dom) == repr(dominance_map(ts, lo, hi))
+            report = detect_reswitching(ts, lo, hi, analysis=analysis)
+            assert report == detect_reswitching(ts, lo, hi)
+        assert placements.count(True) >= 30 and placements.count(False) >= 30
+        assert wages == {F(1), F(5, 3)} and irrational >= 200
+
+    def test_clone_pair_in_other_orientation_reads_shared_record(self, monkeypatch):
+        ts = TechnologySet(
+            [Technique("a", (0, 4, 0)), Technique("b", (F(7, 2), 0, 1)), Technique("c", (0, 4))],
+            wage=F(3, 2),
+        )
+        calls = self._count_isolations(monkeypatch)
+        analysis = MenuAnalysis(ts)
+        a, b, c = ts.techniques
+        assert analysis.pair_ties(b, c).d == -analysis.pair_ties(a, b).d
+        assert analysis.pair_ties(b, c).full == analysis.pair_ties(c, b).full
+        (low, high) = analysis.switch_points(b, c)
+        assert (low.cheaper_below, high.cheaper_below) == ("c", "b")
+        assert low.certificate == analysis.switch_points(a, b)[0].certificate
+        assert len(calls) == 1
+        with pytest.raises(IdenticalTechniquesError, match="'c' and 'a'"):
+            analysis.switch_points(c, a)
+
+    def test_analysis_for_another_menu_or_domain_rejected(self):
+        ts = samuelson_example()
+        analysis = MenuAnalysis(ts)
+        with pytest.raises(ValueError, match="another menu or domain"):
+            dominance_map(samuelson_example(), analysis=analysis)
+        with pytest.raises(ValueError, match="another menu or domain"):
+            detect_reswitching(ts, F(0), F(1), analysis=analysis)
+        assert dominance_map(ts, F(0), 2, analysis=analysis) == dominance_map(ts)
+        stranger = Technique("a", (0, 7, 1))
+        with pytest.raises(ValueError, match="not on this menu"):
+            analysis.switch_points(stranger, ts.techniques[1])
+
+    def test_outputs_do_not_keep_the_analysis(self):
+        ts = TechnologySet(
+            [Technique("a", (0, 4, 0)), Technique("b", (F(7, 2), 0, 1)), Technique("c", (0, 4))]
+        )
+        analysis = MenuAnalysis(ts)
+        report = detect_reswitching(ts, analysis=analysis)
+        points = analysis.switch_points(*ts.techniques[1:])
+        refs = [weakref.ref(analysis)] + [weakref.ref(t) for t in analysis._ties.values()]
+        del analysis
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert report.reswitching and len(points) == 2
 
 
 class TestCostRatioCurve:
