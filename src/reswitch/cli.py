@@ -100,10 +100,6 @@ def _rate_to_interest(text: str, unit: str) -> Fraction:
     return value / 100 if unit == "percent" else value
 
 
-def _interest_to_unit(value: Fraction, unit: str) -> Fraction:
-    return value * 100 if unit == "percent" else value
-
-
 def parse_rate_list(text: str, unit: str) -> list[Fraction]:
     if not text.strip():
         return []

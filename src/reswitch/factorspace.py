@@ -223,6 +223,14 @@ def relative_price_curve(
     return out
 
 
+def _domain_start(lo: Fraction) -> Fraction:
+    """lo as a Fraction, rejected when x = 1 + lo is not positive."""
+    lo = Fraction(lo)
+    if lo <= -1:
+        raise DomainError(f"domain start {lo} is at or below -100%")
+    return lo
+
+
 def _price_equation(ts: TechnologySet, group: FactorGroup, target: Fraction) -> Polynomial:
     """F(x) - target * x**lag at unit wage: zero where F/complement-rental
     equals target, x = 1 + i."""
@@ -243,9 +251,7 @@ def interest_rates_for_relative_price(
     NoRootError when the target is never attained, e.g. below the curve
     minimum.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo <= -1:
-        raise DomainError(f"domain start {lo} is at or below -100%")
+    lo, hi = _domain_start(lo), Fraction(hi)
     roots = isolate_roots_closed(_price_equation(ts, group, target), 1 + lo, 1 + hi)
     if not roots:
         raise NoRootError(
@@ -300,23 +306,19 @@ def curve_minimum(
     until the second-order error in the price value is negligible (the
     derivative vanishes there, so the value converges quadratically).
     """
+    xlo, xhi = 1 + _domain_start(lo), 1 + Fraction(hi)
     lag = scalar_complement_lag(ts, group)
-    bundle = _reference_bundle(ts, group)
+    f_poly = aggregate_polynomial(ts, group)
     owner, other = _curve_techniques(ts, group)
-    coeffs = [Fraction(0)] * (max(bundle) + 1)
-    for t, qty in bundle.items():
-        coeffs[t] = qty * (t - lag)
-    cleared = Polynomial(coeffs)
+    cleared = Polynomial(c * (t - lag) for t, c in enumerate(f_poly.coeffs))
     if cleared.is_zero:
         return None
-    xlo, xhi = 1 + Fraction(lo), 1 + Fraction(hi)
     candidates = [
         r for r in isolate_roots_closed(cleared, xlo, xhi) if xlo < r.hi and r.lo < xhi
     ]
 
     def rel_at(x: Fraction) -> Fraction:
-        f = sum((qty * x**t for t, qty in bundle.items()), Fraction(0))
-        return f / x**lag
+        return f_poly(x) / x**lag
 
     best: Optional[tuple[Fraction, Fraction, RootInterval]] = None
     for cand in candidates:
@@ -361,6 +363,7 @@ def symmetric_interest_pairs(
     aggregate ratio coincides exactly when (x * x')**a equals the bundle
     coefficient ratio, so rational pairs satisfy x * x' = constant.
     """
+    xlo, xhi = 1 + _domain_start(lo), 1 + Fraction(hi)
     lag = scalar_complement_lag(ts, group)
     bundle = _reference_bundle(ts, group)
     lags = sorted(bundle)
@@ -377,7 +380,6 @@ def symmetric_interest_pairs(
         return []
     product = Fraction(num, den)  # x * x' on every equal-price pair
 
-    xlo, xhi = 1 + Fraction(lo), 1 + Fraction(hi)
     left = max(xlo, product / xhi)
     right = min(xhi, product / xlo)
     if left >= right:
@@ -443,6 +445,7 @@ def verify_single_switch(
     verdict's crossing is read, so a caller that reads only single_switch
     pays for no isolation.
     """
+    lo = _domain_start(lo)
     names = tuple(ts.names)
     if len(ts) != 2:
         return TheoremVerdict(names, False, None, None, "needs exactly two techniques")

@@ -24,6 +24,7 @@ from typing import Optional
 from .complementarity import find_complementary_pair
 from .factorspace import support_groups, verify_single_switch
 from .model import Technique, TechnologySet, samuelson_example
+from .polynomial import _scaled_value
 from .switching import detect_reswitching
 
 _MASK64 = (1 << 64) - 1
@@ -206,12 +207,14 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
     """Brute-force cheapest-technique scan against the dominance map,
     skipping points inside a guard band around each boundary.
 
-    The scan runs on Python ints. Grid point k is x_k = (x0 + k*dx) / scale,
-    and every cost polynomial is multiplied by one positive integer (the
-    common denominator of all coefficients times scale**degree), so the
-    homogenized integer costs have the same argmin sets as the Fraction
-    costs. Each guard band and each segment's guarded span becomes a range
-    of k by one exact ceil and floor; the first segment holding k wins.
+    The scan runs on Python ints. Grid point k is x_k = (x0 + k*dx) / scale.
+    Every cost polynomial is multiplied by the common denominator of all
+    coefficients and padded to the common degree, and
+    `polynomial._scaled_value` evaluates it at x_k times the one positive
+    integer scale**degree, so the integer costs have the same argmin sets as
+    the Fraction costs. Each guard band and each segment's guarded span
+    becomes a range of k by one exact ceil and floor; the first segment
+    holding k wins.
     """
     points = GRID_CHECK_POINTS
     step = (hi - lo) / points
@@ -235,22 +238,13 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
                 owner[k] = seg.winner
 
     coeffs = {t.name: t.cost_polynomial(ts.wage).coeffs for t in ts.techniques}
-    degree = max(len(cs) for cs in coeffs.values()) - 1
+    length = max(len(cs) for cs in coeffs.values())
     denom = math.lcm(*(c.denominator for cs in coeffs.values() for c in cs))
-    # highest power first, coefficient of x**j times denom * scale**(degree - j)
+    # padded to the common degree, so every row shares scale**degree
     rows = {
-        name: [
-            (cs[j] * denom).numerator * scale ** (degree - j) if j < len(cs) else 0
-            for j in range(degree, -1, -1)
-        ]
+        name: [(c * denom).numerator for c in cs] + [0] * (length - len(cs))
         for name, cs in coeffs.items()
     }
-
-    def value(row: list[int], x: int) -> int:
-        acc = 0
-        for c in row:
-            acc = acc * x + c
-        return acc
 
     mismatches = 0
     for k in range(points + 1):
@@ -261,8 +255,10 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
             mismatches += 1
             continue
         x = x0 + k * dx
-        best = value(rows[winner], x)
-        if any(value(row, x) < best for name, row in rows.items() if name != winner):
+        best = _scaled_value(rows[winner], x, scale)
+        if any(
+            _scaled_value(row, x, scale) < best for name, row in rows.items() if name != winner
+        ):
             mismatches += 1
     return mismatches
 

@@ -20,7 +20,9 @@ The isolation routine combines three exact ingredients:
   out by (den*x - num) with the same exact integer division;
 * the remaining (irrational) roots, those of the integer quotient, are
   bracketed by Sturm-count bisection, so the interval count is provably
-  exhaustive.
+  exhaustive. The Sturm chain is the same primitive remainder sequence that
+  the gcd and Yun take, each remainder negated, so every division in this
+  module runs on integer vectors and `Polynomial` itself has no division.
 
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
@@ -115,45 +117,11 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
 
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero polynomial")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
-        while len(rem) >= dn and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < dn:
-                break
-            f = rem[-1] / dlead
-            shift = len(rem) - dn
-            quo[shift] = f
-            for j, c in enumerate(other.coeffs):
-                rem[shift + j] -= f * c
-            rem.pop()
-        return Polynomial(quo), Polynomial(rem)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
         lead = self.coeffs[-1]
         return Polynomial(c / lead for c in self.coeffs)
-
-    def primitive(self) -> "Polynomial":
-        """Scale by a positive rational to coprime integer coefficients.
-
-        The scale is positive, so signs at every point are preserved; this
-        keeps Sturm chains in small integers.
-        """
-        return Polynomial(_int_vector(self)) if self.coeffs else self
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -317,16 +285,20 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p.primitive()]
-    d = p.derivative()
-    if not d.is_zero:
-        chain.append(d.primitive())
-        while True:
-            rem = chain[-2] % chain[-1]
-            if rem.is_zero:
-                break
-            chain.append((-rem).primitive())
-    return chain
+    """The Sturm sequence of p, each member primitive in integers.
+
+    It is the primitive remainder sequence that `_primitive_gcd` takes, with
+    each remainder negated: a positive multiple of the classic sequence's
+    member at the same step, so it has the same sign at every point.
+    """
+    f = _int_vector(p)
+    chain = [f]
+    d = _primitive_ints(_derivative_ints(f))
+    if d:
+        chain.append(d)
+        while rem := _pseudo_remainder(chain[-2], chain[-1]):
+            chain.append(_primitive_ints([-c for c in rem]))
+    return [Polynomial(v) for v in chain]
 
 
 def sign_variations(values: Sequence[Fraction]) -> int:

@@ -4,11 +4,11 @@ Everything here is deliberately written from scratch on stdlib integers and
 fractions, without touching the package's own isolation or dominance code:
 dense sign scans with finite differences, plain bisection, the
 rational-root theorem with every candidate evaluated as a fraction, Euclid's
-gcd and Yun's decomposition by long division over the rationals, bracket
-bisection with a Fraction evaluation at every midpoint, direct
-cheapest-technique evaluation and a grid scan of a dominance map against
-it, an exact-grid re-check of the factor-price collapse, and the
-floating-point log-spaced price grid.
+gcd, Yun's decomposition and the classic Sturm sequence by long division
+over the rationals, bracket bisection with a Fraction evaluation at every
+midpoint, direct cheapest-technique evaluation and a grid scan of a
+dominance map against it, an exact-grid re-check of the factor-price
+collapse, and the floating-point log-spaced price grid.
 """
 
 from __future__ import annotations
@@ -189,6 +189,20 @@ def fraction_yun(coeffs) -> tuple[list[Fraction], list[tuple[list[Fraction], int
         d = _fraction_sub(_fraction_divmod(d, a)[0], _fraction_derivative(c))
         k += 1
     return sf, out
+
+
+def fraction_sturm_chain(coeffs) -> list[list[Fraction]]:
+    """The classic Sturm sequence of a coefficient list (constant term
+    first): p, p', then each next member is minus the remainder of the
+    member before last by the last, by long division over the rationals,
+    until that remainder is zero."""
+    chain = [_strip(coeffs)]
+    d = _fraction_derivative(chain[0])
+    if d:
+        chain.append(d)
+        while rem := _fraction_divmod(chain[-2], chain[-1])[1]:
+            chain.append([-c for c in rem])
+    return chain
 
 
 def fraction_narrow(coeffs, a: Fraction, b: Fraction, more) -> tuple[Fraction, Fraction]:

@@ -231,6 +231,26 @@ class TestSymmetricPairs:
         assert symmetric_interest_pairs(ts, FactorGroup.of(1, 4), 10) == []
 
 
+class TestDomainStart:
+    """A domain start at or below -100% leaves x = 1 + i non-positive; each
+    routine rejects it when called, not when a result is read."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: curve_minimum(TS, G13, F(-1)),
+            lambda: symmetric_interest_pairs(TS, G13, 5, F(-1)),
+            lambda: symmetric_interest_pairs(TS, G13, 5, F(-3, 2), F(-1)),
+            lambda: verify_single_switch(TS, G13, F(-2)),
+            lambda: interest_rates_for_relative_price(TS, G13, F(7), F(-1)),
+        ],
+        ids=["curve_minimum", "pairs", "pairs_below", "verify", "preimages"],
+    )
+    def test_rejected_when_called(self, call):
+        with pytest.raises(DomainError, match="is at or below -100%"):
+            call()
+
+
 class TestVerifySingleSwitch:
     def test_champagne_verdict(self):
         v = verify_single_switch(TS, G13)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    _fraction_divmod,
     bisect_root,
     fraction_gcd,
     fraction_narrow,
+    fraction_sturm_chain,
     fraction_yun,
     oracle_root_value,
     rational_roots,
@@ -32,6 +34,7 @@ from reswitch.polynomial import (
     poly_gcd,
     squarefree_decomposition,
     squarefree_part,
+    sturm_chain,
 )
 from reswitch.switching import _clip_bracket
 
@@ -65,13 +68,6 @@ class TestArithmetic:
         assert poly(5).degree == 0
         assert poly(0, 1).degree == 1
         assert poly(1, 0, 0).degree == 0  # trailing zeros stripped
-
-    def test_divmod_roundtrip(self):
-        p = poly(-6, 11, -6, 1)  # (x-1)(x-2)(x-3)
-        d = poly(-2, 1)
-        q, r = divmod(p, d)
-        assert r.is_zero
-        assert q * d == p
 
     @given(
         st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), max_size=5),
@@ -112,6 +108,21 @@ class TestStructure:
         assert len(roots) == 1 and not roots[0].is_exact
         assert len(calls) == 1
 
+    def test_sturm_chain_runs_on_the_integer_remainder_sequence(self, monkeypatch):
+        # the chain's remainders are the same integer pseudo-remainders that
+        # gcd and Yun take; no rational long division
+        calls = []
+        original = polynomial._pseudo_remainder
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(polynomial, "_pseudo_remainder", counting)
+        chain = sturm_chain(poly(6, 0, -5, 0, 1))  # (x^2 - 2)(x^2 - 3)
+        assert [q.degree for q in chain] == [4, 3, 2, 1, 0]
+        assert len(calls) == 4
+
     def test_yun_square_free_part_matches_gcd_quotient(self):
         rng = random.Random(31)
         for _ in range(40):
@@ -119,7 +130,8 @@ class TestStructure:
             p = poly(rng.choice((-3, 2, 5, F(1, 2))))
             for f in factors + [rng.choice(factors)]:
                 p = p * f
-            assert squarefree_part(p) == (p // poly_gcd(p, p.derivative())).monic()
+            quotient, _ = _fraction_divmod(p.coeffs, poly_gcd(p, p.derivative()).coeffs)
+            assert squarefree_part(p) == Polynomial(quotient).monic()
             product = poly(1)
             for f, k in squarefree_decomposition(p):
                 for _ in range(k):
@@ -382,6 +394,29 @@ class TestIntegerAlgebra:
         kinds = ("zero", "constant", "negative_lead", "fraction", "squared", "cubed")
         for kind in kinds + self.KINDS:
             assert seen[kind] >= 20, (kind, seen)
+
+    def test_sturm_chain_matches_fraction_oracle(self):
+        # each member a positive rational multiple of the classic Sturm
+        # sequence's, so every sign count is the same
+        rng = random.Random(1971)
+        seen = Counter()
+        for _ in range(320):
+            shared = [self.factor(rng) for _ in range(rng.randint(0, 1))]
+            p = self.product(rng, shared, seen)
+            seen[f"degree {len(p) - 1}"] += 1
+            chain = sturm_chain(Polynomial(p))
+            reference = fraction_sturm_chain(p)
+            assert len(chain) == len(reference)
+            for member, ref in zip(chain, reference):
+                assert len(member.coeffs) == len(ref)
+                if not ref:
+                    continue
+                ratio = member.coeffs[-1] / ref[-1]
+                assert ratio > 0
+                assert list(member.coeffs) == [ratio * c for c in ref]
+        kinds = ("constant", "degree 1", "negative_lead", "fraction", "squared", "cubed")
+        for kind in kinds + self.KINDS:
+            assert seen[kind] >= 10, (kind, seen)
 
     def test_gcd_with_zero(self):
         assert poly_gcd(Polynomial(), Polynomial()) == Polynomial()
