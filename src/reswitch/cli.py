@@ -40,11 +40,12 @@ from .factorspace import (
 )
 from .harness import GeneratorConfig, run_falsification
 from .model import Technique, TechnologySet
-from .rationals import format_fixed, parse_rational
+from .rationals import format_fixed, int_decimal, parse_rational
 from .switching import MenuAnalysis, cost_ratio_curve, detect_reswitching
 
 MIN_ROW_PLACES = 4  # the starred minimum row keeps extra digits
 MAX_GRID_POINTS = 100_001  # cap on `curves --grid`, checked before allocating
+MAX_PRECISION = 10_000  # cap on --precision: output length grows with its value
 
 
 class FlagError(Exception):
@@ -181,6 +182,14 @@ def parse_domain(text: str, unit: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _exact(value: Fraction) -> str:
+    """`str(value)` for a Fraction of any size: "n" or "n/d"."""
+    text = int_decimal(value.numerator)
+    if value.denominator == 1:
+        return text
+    return f"{text}/{int_decimal(value.denominator)}"
+
+
 def _emit_csv(rows: list[list[str]]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -204,7 +213,7 @@ def cmd_table1(args) -> int:
         row += [format_fixed(c, places) for c in costs]
         row.append("*" if tied > 1 else "")
         if args.exact:
-            row += [str(c) for c in costs]
+            row += [_exact(c) for c in costs]
         rows.append(row)
     _emit_csv(rows)
     return 0
@@ -264,9 +273,9 @@ def cmd_table2(args) -> int:
             data["marker"],
         ]
         if args.exact:
-            exact_rel = str(data["sort"]) if data["marker"] != "*" else ""
-            exact_int = " and ".join(str(i) for i in data["interest"]) if data["marker"] != "*" else ""
-            exact_ratio = str(data["ratio"]) if data["marker"] != "*" else ""
+            exact_rel = _exact(data["sort"]) if data["marker"] != "*" else ""
+            exact_int = " and ".join(_exact(i) for i in data["interest"]) if data["marker"] != "*" else ""
+            exact_ratio = _exact(data["ratio"]) if data["marker"] != "*" else ""
             row += [exact_rel, exact_int, exact_ratio]
         rows.append(row)
     _emit_csv(rows)
@@ -288,7 +297,7 @@ def cmd_curves(args) -> int:
         for i, ratio in cost_ratio_curve(second, first, grid, ts.wage):
             row = [format_fixed(i * 100, places), format_fixed(ratio, 6)]
             if args.exact:
-                row += [str(i), str(ratio)]
+                row += [_exact(i), _exact(ratio)]
             rows.append(row)
         _emit_csv(rows)
         return 0
@@ -312,7 +321,7 @@ def cmd_curves(args) -> int:
     for rel in sorted(by_price):
         row = [format_fixed(rel, places), format_fixed(by_price[rel], 6)]
         if args.exact:
-            row += [str(rel), str(by_price[rel])]
+            row += [_exact(rel), _exact(by_price[rel])]
         rows.append(row)
     _emit_csv(rows)
     return 0
@@ -321,11 +330,11 @@ def cmd_curves(args) -> int:
 def _switch_point_json(sp, places: int) -> dict:
     return {
         "pair": [sp.cheaper_below, sp.cheaper_above],
-        "interest_exact": str(sp.interest_exact) if sp.is_exact else None,
+        "interest_exact": _exact(sp.interest_exact) if sp.is_exact else None,
         "interest": format_fixed(sp.interest_approx * 100, places),
         "cheaper_below": sp.cheaper_below,
         "cheaper_above": sp.cheaper_above,
-        "tie_cost_exact": str(sp.tie_cost_exact) if sp.tie_cost_exact is not None else None,
+        "tie_cost_exact": _exact(sp.tie_cost_exact) if sp.tie_cost_exact is not None else None,
         "tie_cost": format_fixed(sp.tie_cost_approx, places),
     }
 
@@ -361,9 +370,9 @@ def cmd_analyze(args) -> int:
         }
         if verdict.crossing is not None:
             theorem["crossing"] = {
-                "relative_price": str(verdict.crossing.relative_price),
+                "relative_price": _exact(verdict.crossing.relative_price),
                 "interest_preimages": [
-                    str(r.lo) if r.is_exact else format_fixed(approx, 6)
+                    _exact(r.lo) if r.is_exact else format_fixed(approx, 6)
                     for r, approx in zip(
                         verdict.crossing.interest_preimages,
                         verdict.crossing.interest_approx,
@@ -375,13 +384,13 @@ def cmd_analyze(args) -> int:
 
     witness = find_complementary_pair(ts) if len(ts) >= 2 else None
     doc = {
-        "domain": [str(lo), str(hi)],
-        "techniques": {t.name: [str(v) for v in t.labor] for t in ts.techniques},
+        "domain": [_exact(lo), _exact(hi)],
+        "techniques": {t.name: [_exact(v) for v in t.labor] for t in ts.techniques},
         "dominance": {
             "segments": [
                 {
-                    "lo": str(s.lo),
-                    "hi": str(s.hi),
+                    "lo": _exact(s.lo),
+                    "hi": _exact(s.hi),
                     "winner": s.winner,
                     "co_winners": list(s.co_winners),
                 }
@@ -389,13 +398,13 @@ def cmd_analyze(args) -> int:
             ],
             "boundaries": [
                 {
-                    "interest_exact": str(b.interest_exact)
+                    "interest_exact": _exact(b.interest_exact)
                     if b.interest_exact is not None
                     else None,
                     "interest": format_fixed(b.interest_approx * 100, places),
                     "ties": list(b.ties),
                     "tie_cost": format_fixed(b.tie_cost_approx, places),
-                    "tie_cost_exact": str(b.tie_cost_exact)
+                    "tie_cost_exact": _exact(b.tie_cost_exact)
                     if b.tie_cost_exact is not None
                     else None,
                 }
@@ -419,10 +428,10 @@ def cmd_analyze(args) -> int:
         if witness is None
         else {
             "pair": list(witness.pair),
-            "base_prices": [str(p) for p in witness.base_prices],
-            "raised_price": str(witness.raised_price),
-            "demand_before": [str(v) for v in witness.demand_before],
-            "demand_after": [str(v) for v in witness.demand_after],
+            "base_prices": [_exact(p) for p in witness.base_prices],
+            "raised_price": _exact(witness.raised_price),
+            "demand_before": [_exact(v) for v in witness.demand_before],
+            "demand_after": [_exact(v) for v in witness.demand_after],
             "technique_before": witness.technique_before,
             "technique_after": witness.technique_after,
         },
@@ -466,8 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--precision",
             type=int,
             default=None,
-            help="decimal places for rendered values (default 2; the starred "
-            "minimum row keeps 4 unless overridden)",
+            help="decimal places for rendered values, at most "
+            f"{MAX_PRECISION} (default 2; the starred minimum row keeps 4 "
+            "unless overridden)",
         )
         if exact:
             p.add_argument(
@@ -520,8 +530,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "falsify" and args.trials < 1:
         parser.error("--trials must be at least 1")
-    if getattr(args, "precision", None) is not None and args.precision < 0:
+    precision = getattr(args, "precision", None)
+    if precision is not None and precision < 0:
         parser.error("--precision must be at least 0")
+    if precision is not None and precision > MAX_PRECISION:
+        parser.error(f"--precision must be at most {MAX_PRECISION}")
     if args.command == "curves" and args.which == "figure3" and not args.group:
         parser.error("figure3 requires --group")
     try:

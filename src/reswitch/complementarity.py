@@ -127,42 +127,40 @@ def _analytic_two_technique_witness(
 
 
 @lru_cache(maxsize=64)
-def _grid_values(points: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, ...]:
-    """Positive rational grid approximating log spacing between lo and hi.
+def _grid_values(points: int) -> tuple[Fraction, ...]:
+    """Positive rational grid approximating log spacing between GRID_LO and
+    GRID_HI.
 
-    With m = points - 1, value idx is lo**((m - idx)/m) * hi**(idx/m)
-    rounded to four decimals: the nearest integer to the m-th root of
-    lo**(m - idx) * hi**idx * 10**(4m), halves up, over 10**4. That nearest
-    integer is (r + 1) // 2 for r the integer m-th root of the floor of
-    2**m times the radicand. Repeated values are dropped. Memoised: an
-    exact grid of 50 values takes about 2 ms, and the grid search asks for
-    the same few grids on every call.
+    With m = points - 1, lo = GRID_LO and hi = GRID_HI, value idx is
+    lo**((m - idx)/m) * hi**(idx/m) rounded to four decimals: the nearest
+    integer to the m-th root of lo**(m - idx) * hi**idx * 10**(4m), halves
+    up, over 10**4. That nearest integer is (r + 1) // 2 for r the integer
+    m-th root of the floor of 2**m times the radicand. With lo = 1/10 and
+    hi > lo the radicand is at least 2000**m, so every value is positive.
+    Repeated values are dropped. Memoised: an exact grid of 50 values takes
+    about 2 ms, and the grid search asks for the same few grids on every
+    call.
     """
     points = max(points, 2)
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo <= 0 or hi <= 0:
-        raise ValueError("price grid bounds must be positive")
     m = points - 1
     out: list[Fraction] = []
     for idx in range(points):
-        radicand = lo ** (m - idx) * hi**idx * 20_000**m
+        radicand = GRID_LO ** (m - idx) * GRID_HI**idx * 20_000**m
         twice = integer_root(radicand.numerator // radicand.denominator, m)
         approx = Fraction((twice + 1) // 2, 10_000)
-        if approx <= 0:
-            approx = Fraction(1, 10_000)
         if not out or approx > out[-1]:
             out.append(approx)
     return tuple(out)
 
 
 def _grid_witness(
-    ts: TechnologySet, j: int, k: int, points: int, lo: Fraction, hi: Fraction
+    ts: TechnologySet, j: int, k: int
 ) -> Optional[ComplementarityWitness]:
     horizon = ts.horizon
-    per_axis = points
+    per_axis = GRID_POINTS
     while per_axis > 2 and per_axis**horizon > _GRID_CAP:
         per_axis -= 1
-    values = _grid_values(per_axis, lo, hi)
+    values = _grid_values(per_axis)
     other_axes = [t for t in range(1, horizon + 1) if t != j]
     for combo in iter_product(values, repeat=len(other_axes)):
         fixed = dict(zip(other_axes, combo))
@@ -202,11 +200,7 @@ def _distinct(ts: TechnologySet) -> TechnologySet:
 
 
 def complementarity_witness(
-    ts: TechnologySet,
-    pair: tuple[int, int],
-    grid_points: int = GRID_POINTS,
-    price_lo: Fraction = GRID_LO,
-    price_hi: Fraction = GRID_HI,
+    ts: TechnologySet, pair: tuple[int, int]
 ) -> Optional[ComplementarityWitness]:
     """Search for a witness that the ordered lag pair (j, k) is complementary.
 
@@ -224,19 +218,17 @@ def complementarity_witness(
         return None
     if len(ts) == 2:
         return _analytic_two_technique_witness(ts, j, k)
-    return _grid_witness(ts, j, k, grid_points, price_lo, price_hi)
+    return _grid_witness(ts, j, k)
 
 
-def find_complementary_pair(
-    ts: TechnologySet, grid_points: int = GRID_POINTS
-) -> Optional[ComplementarityWitness]:
+def find_complementary_pair(ts: TechnologySet) -> Optional[ComplementarityWitness]:
     """First complementary pair in lexicographic (j, k) order, if any."""
     distinct = _distinct(ts)
     for j in range(1, ts.horizon + 1):
         for k in range(1, ts.horizon + 1):
             if j == k:
                 continue
-            witness = complementarity_witness(distinct, (j, k), grid_points=grid_points)
+            witness = complementarity_witness(distinct, (j, k))
             if witness is not None:
                 return witness
     return None

@@ -379,6 +379,8 @@ def symmetric_interest_pairs(
     if num is None or den is None or den == 0:
         return []
     product = Fraction(num, den)  # x * x' on every equal-price pair
+    if xhi <= xlo:  # an empty domain; xhi may be 0
+        return []
 
     left = max(xlo, product / xhi)
     right = min(xhi, product / xlo)

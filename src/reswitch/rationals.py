@@ -44,6 +44,20 @@ def integer_root(n: int, k: int) -> int:
     return low
 
 
+def int_decimal(n: int) -> str:
+    """n in decimal, of any size: `str` below the interpreter's digit limit
+    for int-to-str conversion, divide and conquer on powers of ten above it."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + int_decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half of n's decimal digits
+    high, low = divmod(n, 10**half)
+    return int_decimal(high) + int_decimal(low).rjust(half, "0")
+
+
 def round_half_away(value: Fraction, places: int = 0) -> Fraction:
     """Round to `places` decimals, ties away from zero (35.4375 -> 35.44)."""
     scale = Fraction(10) ** places
@@ -60,7 +74,7 @@ def format_fixed(value: Fraction, places: int) -> str:
     rounded = round_half_away(value, places)
     sign = "-" if rounded < 0 else ""
     units = abs(rounded) * Fraction(10) ** places
-    digits = str(units.numerator)  # denominator is 1 after rounding
+    digits = int_decimal(units.numerator)  # denominator is 1 after rounding
     if places == 0:
         return sign + digits
     digits = digits.rjust(places + 1, "0")

@@ -24,10 +24,13 @@ the tie polynomial's own for odd ties, each converted once per bracket or
 cut.
 
 Each candidate boundary (`_Cut`) records the technique pairs whose odd tie
-it certifies. A boundary's tie set admits those pairs without a gcd; only a
-technique the cut does not record (one with an even tie there, say) takes a
-gcd and Sturm test. Two cuts that record the same pair are distinct roots of
-its difference, so they are separated without a gcd too.
+it certifies. One separation pass makes the cuts disjoint: one cut per exact
+tie point, brackets narrowed off those points, then only brackets merged or
+halved apart (two cuts that record the same pair are distinct roots of its
+difference, so they are separated without a gcd). At an exact point a
+boundary's tie set is every technique at the minimum cost there. In a
+bracket it is the pairs the cut records, else a gcd and Sturm test per
+representative (one with an even tie there, say).
 """
 
 from __future__ import annotations
@@ -389,30 +392,23 @@ class _Cut:
 
 
 def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
-    """Make all cuts pairwise disjoint, merging cuts that provably carry the
-    same root (the gcd of the two defining polynomials keeps the root).
+    """Make all cuts pairwise disjoint, as closed intervals.
 
-    Two cuts that share a recorded pair certify distinct roots of that
-    pair's difference, which its own isolation separated, so they are
-    halved apart without a gcd."""
-    exact_values = sorted({c.exact for c in cuts if c.exact is not None})
-    for c in cuts:
-        c.narrow(lambda a, b: any(a <= e <= b for e in exact_values))
-    work = list(cuts)
+    Exact cuts at one rational point become one cut. Brackets are first
+    narrowed off every exact point; halving and merging only shrink them, so
+    no bracket ever meets an exact point again, and the loop below looks at
+    brackets alone. Two brackets that provably carry the same root merge
+    (the gcd of their defining polynomials keeps the root); two that share a
+    recorded pair certify distinct roots of that pair's difference, which
+    its own isolation separated, so they are halved apart without a gcd."""
+    points = {c.exact: c for c in cuts if c.exact is not None}
+    work = [c for c in cuts if c.exact is None]
+    for c in work:
+        c.narrow(lambda a, b: any(a <= e <= b for e in points))
     while True:
         for ci, cj in combinations(work, 2):
             if not ci.overlaps(cj):
                 continue
-            if ci.exact is not None and cj.exact is not None:
-                # identical rational tie points from two different pairs
-                ci.pairs |= cj.pairs
-                work.remove(cj)
-                break
-            if ci.exact is not None or cj.exact is not None:
-                interval = ci if ci.exact is None else cj
-                point = ci.exact if ci.exact is not None else cj.exact
-                interval.narrow(lambda a, b: a <= point <= b)
-                break
             same = False
             g = None if ci.pairs & cj.pairs else poly_gcd(ci.poly, cj.poly)
             if g is not None and g.degree is not None and g.degree > 0:
@@ -436,21 +432,16 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
             break
         else:
             break
-    work.sort(key=lambda c: (c.left, c.right))
-    return work
+    return sorted([*points.values(), *work], key=lambda c: (c.left, c.right))
 
 
-def _separate_strictly(cuts: list[_Cut], xlo: Fraction, xhi: Fraction) -> None:
-    """Open strict gaps between consecutive cuts and keep non-exact cuts off
-    the domain edges, so every gap admits a rational interior sample."""
-    for left, right in zip(cuts, cuts[1:]):
-        if left.exact is None:
-            left.narrow(lambda a, b: b >= right.left)
-        else:
-            right.narrow(lambda a, b: left.right >= a)
-    if cuts:
-        cuts[0].narrow(lambda a, b: a <= xlo)
-        cuts[-1].narrow(lambda a, b: b >= xhi)
+def _keeps_root(cut: _Cut, d: Polynomial) -> bool:
+    """Whether d vanishes at the bracketed cut's root: gcd(cut.poly, d) has
+    a root in the bracket, which holds that root alone."""
+    h = poly_gcd(cut.poly, d)
+    return h.degree is not None and h.degree > 0 and (
+        count_distinct_roots(h, cut.lo, cut.hi) == 1
+    )
 
 
 def dominance_map(
@@ -502,7 +493,11 @@ def dominance_map(
         tangencies.extend(_tangencies(u, v, ties))
     tangencies.sort(key=lambda t: t.interest_approx)
     cuts = _merge_or_separate(cuts)
-    _separate_strictly(cuts, xlo, xhi)
+    # cuts are strictly apart; keep brackets off the domain edges too, so
+    # every gap admits a rational interior sample
+    if cuts:
+        cuts[0].narrow(lambda a, b: a <= xlo)
+        cuts[-1].narrow(lambda a, b: b >= xhi)
 
     def costs_at(x: Fraction) -> list[Fraction]:
         return [unit[r.name](x) for r in reps]
@@ -524,59 +519,45 @@ def dominance_map(
 
     # Gap k lies before cut k; one final gap follows the last cut. A gap is
     # empty only when an exact cut sits precisely on a domain edge.
-    samples: list[Optional[Fraction]] = []
-    gap_bounds: list[tuple[Fraction, Fraction]] = []
-    prev_right = xlo
-    for cut in cuts:
-        left = cut.left
-        if left > prev_right:
-            samples.append((prev_right + left) / 2)
-        else:
-            samples.append(None)
-        gap_bounds.append((prev_right, left))
-        prev_right = cut.right
-    if xhi > prev_right:
-        samples.append((prev_right + xhi) / 2)
-    else:
-        samples.append(None)
-    gap_bounds.append((prev_right, xhi))
-
+    gap_bounds = list(
+        zip([xlo] + [c.right for c in cuts], [c.left for c in cuts] + [xhi])
+    )
     gap_winners: list[Optional[Technique]] = [
-        None if s is None else winner_at(s, gap_bounds[k][1])
-        for k, s in enumerate(samples)
+        winner_at((a + b) / 2, b) if a < b else None for a, b in gap_bounds
     ]
 
-    def tie_set(cut: _Cut, anchor: Technique) -> tuple[str, ...]:
-        """Every technique tied with the anchor at the cut: the anchor's
-        aliases and the pairs the cut records, else a gcd test (an even tie
-        at the cut, say)."""
-        names = []
-        for tech in ts.techniques:
-            rep = rep_of[tech.name]
-            if rep == anchor.name or frozenset((anchor.name, rep)) in cut.pairs:
-                names.append(tech.name)
-                continue
-            dd = unit[anchor.name] - unit[rep]
-            if cut.exact is not None:
-                if dd(cut.exact) == 0:
-                    names.append(tech.name)
-                continue
-            h = poly_gcd(cut.poly, dd)
-            if h.degree is not None and h.degree > 0:
-                if count_distinct_roots(h, cut.lo, cut.hi) == 1:
-                    names.append(tech.name)
-        return tuple(names)
+    def named(tied: set[str]) -> tuple[str, ...]:
+        # aliases follow their representative; names stay in menu order
+        return tuple(t.name for t in ts.techniques if rep_of[t.name] in tied)
 
     def boundary_from(cut: _Cut, anchor: Technique) -> Boundary:
+        """The boundary at a cut where the anchor is a cheapest technique.
+
+        At an exact point the tie set is every technique at the minimum. In
+        a bracket it is the anchor, the pairs the cut records, and any other
+        representative whose difference with the anchor keeps a root in the
+        bracket (an even tie at the cut, say)."""
         if cut.exact is not None:
             x = cut.exact
-            tie_cost = wage * unit[anchor.name](x)
+            values = costs_at(x)
+            best = min(values)  # the anchor's cost
+            ties = named({r.name for r, c in zip(reps, values) if c == best})
+            tie_cost = wage * best
             cert = RootInterval(x - 1, x - 1, ODD)
-            return Boundary(x - 1, x - 1, cert, tie_set(cut, anchor), tie_cost, tie_cost)
+            return Boundary(x - 1, x - 1, cert, ties, tie_cost, tie_cost)
+        ties = named(
+            {
+                r.name
+                for r in reps
+                if r.name == anchor.name
+                or frozenset((anchor.name, r.name)) in cut.pairs
+                or _keeps_root(cut, unit[anchor.name] - unit[r.name])
+            }
+        )
         approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), cut.poly, APPROX_TOL)
         cert = RootInterval(cut.lo - 1, cut.hi - 1, ODD)
         tie_cost = wage * unit[anchor.name](approx_x)
-        return Boundary(None, approx_x - 1, cert, tie_set(cut, anchor), None, tie_cost)
+        return Boundary(None, approx_x - 1, cert, ties, None, tie_cost)
 
     segments: list[Segment] = []
     boundaries: list[Boundary] = []
@@ -585,11 +566,11 @@ def dominance_map(
 
     for idx, win in enumerate(gap_winners):
         if win is None:
-            # exact cut on a domain edge; record it when the minimum is tied
+            # exact cut on a domain edge; record it when two distinct
+            # profiles share the minimum there
             cut = cuts[idx] if idx < len(cuts) else cuts[-1]
             owners = min_owners(cut.exact)
-            tset = tie_set(cut, owners[0])
-            if len(tset) > 1:
+            if len(owners) > 1:
                 boundaries.append(boundary_from(cut, owners[0]))
             continue
         if current is None:

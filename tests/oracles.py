@@ -8,12 +8,15 @@ gcd, Yun's decomposition and the classic Sturm sequence by long division
 over the rationals, bracket bisection with a Fraction evaluation at every
 midpoint, direct cheapest-technique evaluation and a grid scan of a
 dominance map against it, an exact-grid re-check of the factor-price
-collapse, and the floating-point log-spaced price grid.
+collapse, the floating-point log-spaced price grid, and Python's own
+int-to-str conversion with its digit limit lifted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 
 
@@ -413,3 +416,18 @@ def log_grid(points, lo, hi):
         if not out or approx > out[-1]:
             out.append(approx)
     return out
+
+
+@contextlib.contextmanager
+def no_int_str_limit():
+    """Lift the interpreter's int-to-str digit limit inside the block, so
+    `str` converts an int of any size; the limit is put back afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

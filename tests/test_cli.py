@@ -10,7 +10,16 @@ import pytest
 
 import reswitch.cli as cli
 import reswitch.switching as switching
-from reswitch.cli import MAX_GRID_POINTS, FlagError, load_model, parse_grid
+from reswitch.cli import (
+    MAX_GRID_POINTS,
+    MAX_PRECISION,
+    FlagError,
+    load_model,
+    parse_grid,
+)
+from reswitch.rationals import format_fixed
+
+from oracles import no_int_str_limit
 
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
 # wage 3/2; c clones a; irrational ties at x = 2 -+ sqrt(2)/2
@@ -69,6 +78,30 @@ class TestTable1:
         rows = csv_rows(cp.stdout)
         assert [r[0] for r in rows[1:]] == ["50.00", "100.00"]
         assert all(r[3] == "*" for r in rows[1:])
+
+    def test_precision_beyond_the_int_str_limit(self):
+        # 5,000 places put more digits in one int than `str` converts
+        cp = run_cli("table1", "--model", MODEL, "--rates", "50", "--precision", "5000")
+        assert cp.returncode == 0, cp.stderr
+        row = csv_rows(cp.stdout)[1]
+        assert row[0] == "50." + "0" * 5000
+        assert row[1] == "15.75" + "0" * 4998
+        assert row[2] == row[1] and row[3] == "*"
+
+    def test_exact_cells_beyond_the_int_str_limit(self):
+        rate = "1" + "0" * 2500
+        cp = run_cli(
+            "table1", "--model", MODEL, "--unit", "fraction", "--rates", rate, "--exact"
+        )
+        assert cp.returncode == 0, cp.stderr
+        ts = load_model(MODEL)
+        costs = [t.cost_at(ts.wage, F(rate)) for t in ts.techniques]
+        with no_int_str_limit():
+            expected = [format_fixed(F(rate) * 100, 2)]
+            expected += [format_fixed(c, 2) for c in costs] + [""]
+            expected += [str(c) for c in costs]
+        assert csv_rows(cp.stdout)[1] == expected
+        assert len(expected[-1]) > 4300
 
 
 class TestTable2:
@@ -259,6 +292,23 @@ class TestAnalyze:
         assert [s["co_winners"] for s in doc["dominance"]["segments"]] == [["c"], [], ["c"]]
         assert elapsed < 1
 
+    def test_clone_of_the_cheapest_adds_no_edge_boundary(self, tmp_path):
+        # b and c, both dearer than a everywhere, cross at 0%; a2 clones a
+        model = tmp_path / "clone_edge.json"
+        model.write_text(
+            '{"techniques": [{"name": "a", "labor": ["1", "1/2"]},'
+            ' {"name": "a2", "labor": ["1", "1/2"]},'
+            ' {"name": "b", "labor": ["1", "2"]},'
+            ' {"name": "c", "labor": ["2", "1"]}]}'
+        )
+        cp = run_cli("analyze", "--model", str(model))
+        assert cp.returncode == 0, cp.stderr
+        doc = json.loads(cp.stdout)
+        assert doc["dominance"]["boundaries"] == []
+        assert doc["dominance"]["segments"] == [
+            {"lo": "0", "hi": "2", "winner": "a", "co_winners": ["a2"]}
+        ]
+
     def test_single_technique_all_negative(self, tmp_path):
         model = tmp_path / "single.json"
         model.write_text('{"techniques": [{"name": "a", "labor": ["0", "7", "0"]}]}')
@@ -438,20 +488,28 @@ class TestGoldenOutputs:
         assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest
 
 
+PRECISION_COMMANDS = [
+    ("table1", "--model", MODEL, "--rates", "50"),
+    ("table2", "--model", MODEL, "--group", "1,3", "--rates", "50"),
+    ("curves", "figure2", "--model", MODEL),
+    ("analyze", "--model", MODEL),
+]
+
+
 class TestUsageErrors:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ("table1", "--model", MODEL, "--rates", "50"),
-            ("table2", "--model", MODEL, "--group", "1,3", "--rates", "50"),
-            ("curves", "figure2", "--model", MODEL),
-            ("analyze", "--model", MODEL),
-        ],
-    )
+    @pytest.mark.parametrize("args", PRECISION_COMMANDS)
     def test_negative_precision(self, args):
         cp = run_cli(*args, "--precision", "-1")
         assert cp.returncode == 2
         assert "--precision" in cp.stderr
+        assert cp.stdout == ""
+
+    @pytest.mark.parametrize("args", PRECISION_COMMANDS)
+    def test_precision_above_the_cap(self, args):
+        assert MAX_PRECISION == 10_000
+        cp = run_cli(*args, "--precision", "10001")
+        assert cp.returncode == 2
+        assert "--precision" in cp.stderr and "Traceback" not in cp.stderr
         assert cp.stdout == ""
 
     @pytest.mark.parametrize(

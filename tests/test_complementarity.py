@@ -5,6 +5,7 @@ from itertools import product as iter_product
 
 import pytest
 
+import reswitch.complementarity as complementarity
 from reswitch import (
     Technique,
     TechnologySet,
@@ -173,13 +174,14 @@ class TestGridFallback:
                 prev = choice
         return False
 
-    def test_grid_agrees_with_brute_force(self):
+    def test_grid_agrees_with_brute_force(self, monkeypatch):
+        monkeypatch.setattr(complementarity, "GRID_POINTS", 16)
         rng = random.Random(321)
         exercised = 0
         for _ in range(6):
             ts = self.three_technique_set(rng)
             for j, k in ((1, 3), (3, 1), (2, 3)):
-                got = complementarity_witness(ts, (j, k), grid_points=16)
+                got = complementarity_witness(ts, (j, k))
                 if got is not None:
                     # any returned witness is valid by construction; re-check
                     base = chosen_input_vector(ts, got.base_prices)
@@ -194,12 +196,12 @@ class TestGridFallback:
 
     def test_exact_grid_matches_float_definition(self):
         for points in range(2, 51):
-            assert list(_grid_values(points, GRID_LO, GRID_HI)) == log_grid(
+            assert list(_grid_values(points)) == log_grid(
                 points, GRID_LO, GRID_HI
             )
 
     def test_grid_is_memoised(self):
-        assert _grid_values(37, GRID_LO, GRID_HI) is _grid_values(37, GRID_LO, GRID_HI)
+        assert _grid_values(37) is _grid_values(37)
 
 
 class TestHattaNecessity:

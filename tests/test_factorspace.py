@@ -230,6 +230,11 @@ class TestSymmetricPairs:
         ts = TechnologySet([Technique("s", (0, 5, 0, 0)), Technique("w", (3, 0, 0, 1))])
         assert symmetric_interest_pairs(ts, FactorGroup.of(1, 4), 10) == []
 
+    def test_empty_domain_gives_no_pairs(self):
+        # hi = -1 puts the domain's upper end at x = 0, which no pair divides by
+        assert symmetric_interest_pairs(TS, G13, 5, F(-1, 2), F(-1)) == []
+        assert symmetric_interest_pairs(TS, G13, 5, F(1), F(1, 2)) == []
+
 
 class TestDomainStart:
     """A domain start at or below -100% leaves x = 1 + i non-positive; each

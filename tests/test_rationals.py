@@ -3,7 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from reswitch import ModelFormatError, format_fixed, parse_rational, round_half_away
-from reswitch.rationals import integer_root
+from reswitch.rationals import int_decimal, integer_root
+
+from oracles import no_int_str_limit
 
 
 def test_parse_forms():
@@ -49,3 +51,19 @@ def test_format_fixed_padding():
     assert format_fixed(F(-1, 8), 2) == "-0.13"
     assert format_fixed(F(8, 7) * 100, 2) == "114.29"
     assert format_fixed(F(3), 0) == "3"
+
+
+def test_int_decimal_matches_str_below_the_digit_limit():
+    for n in [0, 7, -7, 10**40 + 3, -(3**2000), 10**4000 - 1]:
+        assert int_decimal(n) == str(n)
+
+
+def test_int_decimal_above_the_digit_limit():
+    values = [10**4300, -(10**4300) - 1, 3**20_000, 7 * 10**9000 + 1, 10**9001]
+    texts = [int_decimal(n) for n in values]  # under the default limit
+    with no_int_str_limit():
+        assert texts == [str(n) for n in values]
+
+
+def test_format_fixed_beyond_the_digit_limit():
+    assert format_fixed(F(2, 3), 5000) == "0." + "6" * 4999 + "7"

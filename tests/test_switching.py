@@ -17,6 +17,7 @@ from reswitch import (
     DivisionByZeroError,
     IdenticalTechniquesError,
     MenuAnalysis,
+    Segment,
     Technique,
     TechnologySet,
     cost_ratio_curve,
@@ -236,6 +237,66 @@ class TestDominance:
         assert [t.pair for t in dom.tangencies] == [("a", "c"), ("a", "c")]
         assert [set(b.ties) for b in dom.boundaries] == [{"a", "b", "c"}] * 2
 
+    def test_even_tie_at_an_exact_switch_point(self):
+        # c - a = 2x (x - 3/2)^2 touches zero where a and b cross at 50%,
+        # and c - b = x (x - 3/2) crosses there too
+        ts = TechnologySet([A, B, Technique("c", (F(9, 2), 1, 2))])
+        dom = dominance_map(ts, F(0), F(2))
+        assert dom.winners == ("a", "b", "a")
+        assert [(b.interest_exact, b.ties) for b in dom.boundaries] == [
+            (F(1, 2), ("a", "b", "c")),
+            (F(1), ("a", "b")),
+        ]
+
+    def test_clone_of_the_cheapest_adds_no_edge_boundary(self):
+        # b and c, both dearer than a everywhere, cross exactly at the
+        # domain's lower edge; a clone of a is not a second competitor there
+        a, b, c = (
+            Technique("a", (1, F(1, 2))),
+            Technique("b", (1, 2)),
+            Technique("c", (2, 1)),
+        )
+        with_clone = dominance_map(
+            TechnologySet([a, Technique("a2", (1, F(1, 2))), b, c]), F(0), F(2)
+        )
+        without = dominance_map(TechnologySet([a, b, c]), F(0), F(2))
+        assert with_clone.boundaries == without.boundaries == ()
+        assert with_clone.segments == (Segment(F(0), F(2), "a", ("a2",)),)
+        assert without.segments == (Segment(F(0), F(2), "a"),)
+
+    def test_separated_cuts_are_disjoint_and_off_exact_points(self, monkeypatch):
+        # menus of random profiles plus midpoint profiles, which tie three
+        # ways wherever their two parents tie, exact or irrational
+        rng = random.Random(2024)
+        original = switching._merge_or_separate
+        seen = {"exact": 0, "bracket": 0}
+
+        def checked(cuts):
+            out = original(cuts)
+            for ci, cj in combinations(out, 2):
+                assert not ci.overlaps(cj)
+            points = [c.exact for c in out if c.exact is not None]
+            for c in out:
+                if c.exact is None:
+                    assert not any(c.lo <= e <= c.hi for e in points)
+            seen["exact"] += len(points)
+            seen["bracket"] += len(out) - len(points)
+            return out
+
+        monkeypatch.setattr(switching, "_merge_or_separate", checked)
+        for _ in range(12):
+            horizon, size = rng.randint(2, 4), rng.randint(3, 5)
+            profiles = []
+            while len(profiles) < size:
+                prof = tuple(F(rng.randint(0, 8)) for _ in range(horizon))
+                if any(prof) and prof not in profiles:
+                    profiles.append(prof)
+            u, v = profiles[0], profiles[1]
+            profiles.append(tuple((p + q) / 2 for p, q in zip(u, v)))
+            techs = [Technique(f"t{k}", prof) for k, prof in enumerate(profiles)]
+            dominance_map(TechnologySet(techs), F(0), F(3))
+        assert seen["exact"] > 0 and seen["bracket"] > 0
+
     def test_matches_brute_force_at_grid(self):
         rng = random.Random(4242)
         for _ in range(8):
@@ -250,6 +311,9 @@ class TestDominance:
                 continue
             ts = TechnologySet([Technique(n, l) for n, l in labors.items()])
             dom = dominance_map(ts, F(0), F(3))
+            for b in dom.boundaries:
+                if b.interest_exact is not None:
+                    assert set(b.ties) == cheapest_names(labors, F(1), b.interest_exact)
             guard = F(1, 10**6)
             for k in range(0, 3001, 7):
                 i = F(k, 1000)
