@@ -40,7 +40,7 @@ from .factorspace import (
 )
 from .harness import GeneratorConfig, run_falsification
 from .model import Technique, TechnologySet
-from .rationals import format_fixed, int_decimal, parse_rational
+from .rationals import format_fixed, int_decimal, parse_rational, quote_short
 from .switching import MenuAnalysis, cost_ratio_curve, detect_reswitching
 
 MIN_ROW_PLACES = 4  # the starred minimum row keeps extra digits
@@ -109,7 +109,7 @@ def parse_rate_list(text: str, unit: str) -> list[Fraction]:
         try:
             i = _rate_to_interest(chunk, unit)
         except ModelFormatError as exc:
-            raise FlagError(f"bad rate {chunk.strip()!r}: {exc}") from exc
+            raise FlagError(f"bad rate {quote_short(chunk.strip())}: {exc}") from exc
         if i <= -1:
             raise DomainError(f"interest rate {chunk.strip()} is at or below -100%")
         rates.append(i)
@@ -153,7 +153,7 @@ def parse_grid(text: str, unit: str) -> list[Fraction]:
         hi = _rate_to_interest(parts[1], unit)
         step = _rate_to_interest(parts[2], unit)
     except ModelFormatError as exc:
-        raise FlagError(f"bad grid spec {text!r}: {exc}") from exc
+        raise FlagError(f"bad grid spec {quote_short(text)}: {exc}") from exc
     if step <= 0:
         raise FlagError("grid step must be positive")
     if hi < lo:
@@ -176,7 +176,7 @@ def parse_domain(text: str, unit: str) -> tuple[Fraction, Fraction]:
         lo = _rate_to_interest(parts[0], unit)
         hi = _rate_to_interest(parts[1], unit)
     except ModelFormatError as exc:
-        raise FlagError(f"bad domain spec {text!r}: {exc}") from exc
+        raise FlagError(f"bad domain spec {quote_short(text)}: {exc}") from exc
     if hi <= lo:
         raise FlagError("domain upper bound must exceed lower bound")
     return lo, hi

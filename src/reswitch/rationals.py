@@ -8,6 +8,7 @@ output boundary, with half-away-from-zero rounding.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ModelFormatError
@@ -15,19 +16,36 @@ from .errors import ModelFormatError
 _EXPONENT = re.compile(r"[\d.][eE][-+]?\d")
 
 
+def quote_short(text: str) -> str:
+    """repr(text), or of its first 40 characters and its length if longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", integer, or decimal strings ("1.25", ".5", "-3/4") exactly.
 
     Exponent notation ("1e5") is rejected: its value can take far more digits
     than its text, so "1e999999999" alone would build a billion-digit integer.
+    A run of digits longer than the interpreter's int-string limit is
+    reported as such, and long text is quoted by its first characters only.
     """
     text = str(text).strip()
     if _EXPONENT.search(text):
-        raise ModelFormatError(f"exponent notation is not accepted: {text!r}")
+        raise ModelFormatError(f"exponent notation is not accepted: {quote_short(text)}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFormatError(f"not a rational number: {text!r}") from exc
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = max(map(len, re.findall(r"\d+", text)), default=0)
+        problem = "not a rational number"
+        if 0 < limit < digits:
+            problem = (
+                f"{digits} digits exceed the interpreter's int-string limit of "
+                f"{limit} (sys.get_int_max_str_digits())"
+            )
+        raise ModelFormatError(f"{problem}: {quote_short(text)}") from exc
 
 
 def integer_root(n: int, k: int) -> int:

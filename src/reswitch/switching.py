@@ -24,19 +24,21 @@ the tie polynomial's own for odd ties, each converted once per bracket or
 cut.
 
 Each candidate boundary (`_Cut`) records the technique pairs whose odd tie
-it certifies. One separation pass makes the cuts disjoint: one cut per exact
-tie point, brackets narrowed off those points, then only brackets merged or
-halved apart (two cuts that record the same pair are distinct roots of its
-difference, so they are separated without a gcd). At an exact point a
-boundary's tie set is every technique at the minimum cost there. In a
-bracket it is the pairs the cut records, else a gcd and Sturm test per
-representative (one with an even tie there, say).
+it certifies, on the bracket and difference of the first of them. One sweep
+makes the cuts disjoint, merging or halving only neighbours that overlap, so
+a bracket stays a node of its own pair's bisection and an irrational
+boundary's approximation is that pair's switch point (unless separation
+narrowed the bracket below APPROX_TOL). At an exact point a boundary's tie
+set is every technique at the minimum cost there. In a bracket it is the
+pairs the cut records, else a gcd and Sturm test per representative (one
+with an even tie there, say).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -355,84 +357,66 @@ class MenuAnalysis:
 
 class _Cut:
     """A candidate dominance boundary: one certified tie point in x-space, a
-    root of odd multiplicity of poly (a merged cut's gcd keeps the smaller of
-    two odd multiplicities), so poly changes sign across the bracket.
+    root of odd multiplicity of poly, the cost difference of the cut's first
+    pair, so poly changes sign across the bracket. An exact cut has
+    lo == hi == exact.
 
     pairs holds the representative pairs (as frozensets of two names) whose
-    odd ties the cut certifies; a merge or a dedupe takes the union.
+    odd ties the cut certifies; a merge takes the union.
     """
 
     __slots__ = ("poly", "ints", "exact", "lo", "hi", "pairs")
 
-    def __init__(
-        self, poly: Polynomial, exact: Optional[Fraction], lo, hi, pairs: set
-    ):
+    def __init__(self, poly: Polynomial, lo: Fraction, hi: Fraction, pairs: set):
         self.poly = poly  # vanishes at the point; basis for gcd tie tests
-        self.ints = None if exact is not None else _int_vector(poly)  # bisected
-        self.exact = exact
+        self.exact = lo if lo == hi else None
+        self.ints = None if self.exact is not None else _int_vector(poly)  # bisected
         self.lo = lo
         self.hi = hi
         self.pairs = pairs
-
-    @property
-    def left(self) -> Fraction:
-        return self.exact if self.exact is not None else self.lo
-
-    @property
-    def right(self) -> Fraction:
-        return self.exact if self.exact is not None else self.hi
 
     def narrow(self, more) -> None:
         """Bisect the bracket while more(lo, hi) holds; exact cuts stay put."""
         if self.exact is None:
             self.lo, self.hi = _narrow(self.ints, self.lo, self.hi, more)
 
-    def overlaps(self, other: "_Cut") -> bool:
-        return not (self.right < other.left or other.right < self.left)
-
 
 def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
     """Make all cuts pairwise disjoint, as closed intervals.
 
-    Exact cuts at one rational point become one cut. Brackets are first
-    narrowed off every exact point; halving and merging only shrink them, so
-    no bracket ever meets an exact point again, and the loop below looks at
-    brackets alone. Two brackets that provably carry the same root merge
-    (the gcd of their defining polynomials keeps the root); two that share a
-    recorded pair certify distinct roots of that pair's difference, which
-    its own isolation separated, so they are halved apart without a gcd."""
-    points = {c.exact: c for c in cuts if c.exact is not None}
-    work = [c for c in cuts if c.exact is None]
-    for c in work:
-        c.narrow(lambda a, b: any(a <= e <= b for e in points))
-    while True:
-        for ci, cj in combinations(work, 2):
-            if not ci.overlaps(cj):
-                continue
-            same = False
-            g = None if ci.pairs & cj.pairs else poly_gcd(ci.poly, cj.poly)
-            if g is not None and g.degree is not None and g.degree > 0:
-                c1 = count_distinct_roots(g, ci.lo, ci.hi)
-                c2 = count_distinct_roots(g, cj.lo, cj.hi)
-                if c1 == 1 and c2 == 1:
-                    hull_lo = min(ci.lo, cj.lo)
-                    hull_hi = max(ci.hi, cj.hi)
-                    if count_distinct_roots(g, hull_lo, hull_hi) == 1:
-                        same = True
-            if same:
-                merged = _Cut(
-                    g, None, max(ci.lo, cj.lo), min(ci.hi, cj.hi), ci.pairs | cj.pairs
-                )
-                work.remove(ci)
-                work.remove(cj)
-                work.append(merged)
-            else:  # halve each once, then look again
-                for c in (ci, cj):
-                    c.narrow(lambda a, b, width=c.hi - c.lo: b - a == width)
-            break
-        else:
-            break
-    return sorted([*points.values(), *work], key=lambda c: (c.left, c.right))
+    One sweep takes the cuts in order of left end, each against the last one
+    kept, the only one it can overlap. Two brackets that share a recorded
+    pair hold distinct roots of its difference; two others hold one root
+    when their polynomials share a root where they meet, as each isolates
+    its own polynomial's root. One point or root merges into the cut built
+    first; else the wider cut (an exact one has width 0) is halved and goes
+    back into the sweep."""
+    heap = [(c.lo, serial, c) for serial, c in enumerate(cuts)]
+    heapify(heap)
+    kept: list[tuple[int, _Cut]] = []  # (serial, cut), disjoint, by left end
+    while heap:
+        serial, c = heappop(heap)[1:]
+        if not kept or kept[-1][1].hi < c.lo:
+            kept.append((serial, c))
+            continue
+        k_serial, k = kept[-1]  # k.lo <= c.lo <= k.hi
+        if (c.exact is not None and c.exact == k.exact) or (
+            not k.pairs & c.pairs
+            and count_distinct_roots(poly_gcd(k.poly, c.poly), c.lo, min(k.hi, c.hi))
+        ):
+            if serial < k_serial:
+                c.pairs |= k.pairs
+                kept[-1] = (serial, c)
+            else:
+                k.pairs |= c.pairs
+            continue
+        wider = k if k.hi - k.lo > c.hi - c.lo else c
+        wider.narrow(lambda a, b, width=wider.hi - wider.lo: b - a == width)
+        if wider is k:
+            kept.pop()
+            heappush(heap, (k.lo, k_serial, k))
+        heappush(heap, (c.lo, serial, c))
+    return [c for _, c in kept]
 
 
 def _keeps_root(cut: _Cut, d: Polynomial) -> bool:
@@ -487,9 +471,8 @@ def dominance_map(
         for _, iv in ties.in_domain:
             if iv.parity != ODD:
                 continue
-            exact = iv.lo if iv.is_exact else None
             pair = frozenset((u.name, v.name))
-            cuts.append(_Cut(ties.d, exact, iv.lo, iv.hi, {pair}))
+            cuts.append(_Cut(ties.d, iv.lo, iv.hi, {pair}))
         tangencies.extend(_tangencies(u, v, ties))
     tangencies.sort(key=lambda t: t.interest_approx)
     cuts = _merge_or_separate(cuts)
@@ -519,9 +502,7 @@ def dominance_map(
 
     # Gap k lies before cut k; one final gap follows the last cut. A gap is
     # empty only when an exact cut sits precisely on a domain edge.
-    gap_bounds = list(
-        zip([xlo] + [c.right for c in cuts], [c.left for c in cuts] + [xhi])
-    )
+    gap_bounds = list(zip([xlo] + [c.hi for c in cuts], [c.lo for c in cuts] + [xhi]))
     gap_winners: list[Optional[Technique]] = [
         winner_at((a + b) / 2, b) if a < b else None for a, b in gap_bounds
     ]

@@ -6,10 +6,11 @@ dense sign scans with finite differences, plain bisection, the
 rational-root theorem with every candidate evaluated as a fraction, Euclid's
 gcd, Yun's decomposition and the classic Sturm sequence by long division
 over the rationals, bracket bisection with a Fraction evaluation at every
-midpoint, direct cheapest-technique evaluation and a grid scan of a
-dominance map against it, an exact-grid re-check of the factor-price
-collapse, the floating-point log-spaced price grid, and Python's own
-int-to-str conversion with its digit limit lifted.
+midpoint, direct cheapest-technique evaluation, a grid scan of a dominance
+map against it and the grid cells where the cheapest technique changes, an
+exact-grid re-check of the factor-price collapse, the floating-point
+log-spaced price grid, and Python's own int-to-str conversion with its
+digit limit lifted.
 """
 
 from __future__ import annotations
@@ -287,6 +288,30 @@ def grid_mismatches(
         if owner not in cheapest_names(labors, wage, i):
             mismatches += 1
     return mismatches
+
+
+def cheapest_changes(labors, wage, lo, hi, points=300) -> list:
+    """The grid cells (a, b) across which the sole cheapest technique changes.
+
+    At each of the points + 1 evenly spaced rates on [lo, hi] the cheapest
+    set comes from `cheapest_names`; rates where it holds more than one name
+    are passed over, so a cell runs from one rate with a sole cheapest
+    technique to the next such rate, and it is returned when the two names
+    differ. A dominance map has a boundary in every returned cell.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    cells = []
+    last = None  # (rate, name) of the last rate with a sole cheapest technique
+    for k in range(points + 1):
+        i = lo + (hi - lo) * Fraction(k, points)
+        names = cheapest_names(labors, wage, i)
+        if len(names) != 1:
+            continue
+        (name,) = names
+        if last is not None and last[1] != name:
+            cells.append((last[0], i))
+        last = (i, name)
+    return cells
 
 
 def _exact_root(value: int, k: int):

@@ -526,6 +526,16 @@ class TestUsageErrors:
         assert "exponent" in cp.stderr
         assert "Traceback" not in cp.stderr
 
+    def test_rate_beyond_the_int_str_limit(self):
+        # one quote of the number's first characters, not two in full
+        limit = sys.get_int_max_str_digits()
+        rate = "1" + "0" * (limit + 100)
+        cp = run_cli("table1", "--model", MODEL, "--unit", "fraction", "--rates", rate)
+        assert cp.returncode == 2
+        assert len(cp.stderr.encode()) < 1024
+        assert f"int-string limit of {limit}" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
     @pytest.mark.parametrize(
         "flags",
         [("--horizon-min", "1"), ("--horizon-min", "4", "--horizon-max", "3")],
@@ -595,6 +605,19 @@ class TestModelDiagnostics:
         assert cp.returncode == 1
         assert cp.stderr.startswith("error:")
         assert "Traceback" not in cp.stderr
+
+    def test_labor_cell_beyond_the_int_str_limit(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        model = tmp_path / "long.json"
+        model.write_text(
+            '{"techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
+            ' {"name": "b", "labor": ["6", "0", "1%s"]}]}' % ("0" * (limit + 100))
+        )
+        cp = run_cli("table1", "--model", str(model), "--rates", "0")
+        assert cp.returncode == 1
+        assert len(cp.stderr.encode()) < 1024
+        assert cp.stderr.startswith("error: techniques[1].labor[2]: ")
+        assert f"int-string limit of {limit}" in cp.stderr
 
     @pytest.mark.parametrize("cell", ['"1e1"', "1e1", "2.5E-1"])
     def test_exponent_cells(self, tmp_path, cell):

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import random
+import time
 import weakref
 from fractions import Fraction as F
 from itertools import combinations, permutations
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import bisect_root, cheapest_names
+from oracles import bisect_root, cheapest_changes, cheapest_names, grid_mismatches
 import reswitch.cli as cli
 import reswitch.polynomial as polynomial
 import reswitch.switching as switching
@@ -269,18 +270,19 @@ class TestDominance:
         # ways wherever their two parents tie, exact or irrational
         rng = random.Random(2024)
         original = switching._merge_or_separate
-        seen = {"exact": 0, "bracket": 0}
+        seen = {"exact": 0, "bracket": 0, "merged": 0}
 
         def checked(cuts):
             out = original(cuts)
             for ci, cj in combinations(out, 2):
-                assert not ci.overlaps(cj)
+                assert ci.hi < cj.lo or cj.hi < ci.lo
             points = [c.exact for c in out if c.exact is not None]
             for c in out:
                 if c.exact is None:
                     assert not any(c.lo <= e <= c.hi for e in points)
             seen["exact"] += len(points)
             seen["bracket"] += len(out) - len(points)
+            seen["merged"] += sum(len(c.pairs) > 1 for c in out if c.exact is None)
             return out
 
         monkeypatch.setattr(switching, "_merge_or_separate", checked)
@@ -295,7 +297,46 @@ class TestDominance:
             profiles.append(tuple((p + q) / 2 for p, q in zip(u, v)))
             techs = [Technique(f"t{k}", prof) for k, prof in enumerate(profiles)]
             dominance_map(TechnologySet(techs), F(0), F(3))
-        assert seen["exact"] > 0 and seen["bracket"] > 0
+        # 16 techniques, four of them midpoints, so that the sweep merges
+        for _ in range(4):
+            horizon = rng.randint(3, 5)
+            profiles = []
+            while len(profiles) < 12:
+                prof = tuple(F(rng.randint(0, 8)) for _ in range(horizon))
+                if any(prof) and prof not in profiles:
+                    profiles.append(prof)
+            for _ in range(4):
+                u, v = rng.sample(profiles[:12], 2)
+                profiles.append(tuple((p + q) / 2 for p, q in zip(u, v)))
+            techs = [Technique(f"t{k}", prof) for k, prof in enumerate(profiles)]
+            dominance_map(TechnologySet(techs), F(0), F(3))
+        assert seen["exact"] > 0 and seen["bracket"] > 0 and seen["merged"] > 0
+
+    def test_irrational_boundaries_read_a_pair_switch_point(self):
+        # r1 and b cross once near 29.6%; the merged three-way tie of a, b
+        # and c sits near 170.7%. Separation narrows no bracket past its own
+        # pair's bisection, so each boundary reads a pair's approximation.
+        menu = {
+            "r1": (0, F(3, 4), 3, 2),
+            "b": (7, 0, 2, 0),
+            "r0": (5, 2, 6, 0),
+            "a": (0, 8, 0, 0),
+            "c": (F(308, 185), F(32, 5), F(24, 185), F(16, 185)),
+            "r2": (F(3, 2), 3, 1, 7),
+            "r3": (6, 2, 8, F(11, 4)),
+        }
+        ts = TechnologySet([Technique(n, p) for n, p in menu.items()])
+        dom = dominance_map(ts, F(0), F(2))
+        assert [b.ties for b in dom.boundaries] == [("r1", "b"), ("b", "a", "c")]
+        assert _approximations_off_switch_points(ts, dom) == []
+        rng = random.Random(1)
+        irrational = 0
+        for _ in range(30):
+            ts = _three_way_tie_menu(rng)
+            dom = dominance_map(ts, F(0), F(2))
+            assert _approximations_off_switch_points(ts, dom) == []
+            irrational += sum(b.interest_exact is None for b in dom.boundaries)
+        assert irrational >= 30
 
     def test_matches_brute_force_at_grid(self):
         rng = random.Random(4242)
@@ -433,6 +474,76 @@ def _menu_with_clones(rng: random.Random) -> tuple[TechnologySet, list[bool]]:
     wage = rng.choice((F(1), F(5, 3)))
     ts = TechnologySet([Technique(n, p) for n, p in menu], wage=wage)
     return ts, placed_before
+
+
+def _three_way_tie_menu(rng: random.Random) -> TechnologySet:
+    """a and b crossing at x = 2 -+ sqrt(2)/2, c with c - a = s x (2x^2 -
+    8x + 7)(x + t), which ties both there without being proportional to
+    b - a, sometimes the midpoint of a and b, and 2-5 random profiles, all
+    over horizon 4 and shuffled."""
+    a = (F(0), F(8), F(0), F(0))
+    b = (F(7), F(0), F(2), F(0))
+    t = F(rng.randint(8, 16), 2)
+    s = F(8, 8 * t - 7) * F(rng.randint(1, 4), 4)  # keeps c's labor nonnegative
+    c = tuple(p + s * q for p, q in zip(a, (7 * t, 7 - 8 * t, 2 * t - 8, 2)))
+    profiles = [a, b, c]
+    if rng.random() < 0.5:
+        profiles.append(tuple((p + q) / 2 for p, q in zip(a, b)))
+    for _ in range(rng.randint(2, 5)):
+        prof = tuple(F(rng.randint(0, 8), rng.choice((1, 2, 4))) for _ in range(4))
+        profiles.append(prof if any(prof) else (F(1),) * 4)
+    rng.shuffle(profiles)
+    return TechnologySet([Technique(f"t{k}", p) for k, p in enumerate(profiles)])
+
+
+def _approximations_off_switch_points(ts: TechnologySet, dom) -> list:
+    """The irrational boundaries whose interest_approx is no switch point
+    of two of their tied techniques."""
+    techs = {t.name: t for t in ts.techniques}
+    lo, hi = dom.domain
+    return [
+        b
+        for b in dom.boundaries
+        if b.interest_exact is None
+        and not any(
+            p.interest_approx == b.interest_approx
+            for u, v in combinations(b.ties, 2)
+            for p in pairwise_switch_points(techs[u], techs[v], lo, hi)
+        )
+    ]
+
+
+def _horizon5_menu(size: int, seed: int) -> TechnologySet:
+    rng = random.Random(seed)
+    profiles = []
+    while len(profiles) < size:
+        prof = tuple(F(rng.randint(0, 12), rng.choice((1, 2, 4))) for _ in range(5))
+        if any(prof):
+            profiles.append(prof)
+    return TechnologySet([Technique(f"t{k}", p) for k, p in enumerate(profiles)])
+
+
+class TestManyTechniques:
+    def test_32_techniques_in_under_a_second(self):
+        ts = _horizon5_menu(32, 2)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            dominance_map(ts, F(0), F(2))
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1.0
+
+    def test_64_techniques_match_brute_force_grid(self):
+        ts = _horizon5_menu(64, 1)
+        dom = dominance_map(ts, F(0), F(2))
+        labors = {t.name: t.labor for t in ts.techniques}
+        segments = [(s.lo, s.hi, s.winner) for s in dom.segments]
+        approx = [b.interest_approx for b in dom.boundaries]
+        assert grid_mismatches(labors, ts.wage, segments, approx, 0, 2, points=400) == 0
+        cells = cheapest_changes(labors, ts.wage, 0, 2, points=400)
+        assert cells and len(cells) <= len(dom.boundaries)
+        for a, b in cells:
+            assert any(a <= x <= b for x in approx)
 
 
 class TestSharedPairAnalysis:
