@@ -40,7 +40,13 @@ from .factorspace import (
 )
 from .harness import GeneratorConfig, run_falsification
 from .model import Technique, TechnologySet
-from .rationals import format_fixed, int_decimal, parse_rational, quote_short
+from .rationals import (
+    format_fixed,
+    int_decimal,
+    int_limit_problem,
+    parse_rational,
+    quote_short,
+)
 from .switching import MenuAnalysis, cost_ratio_curve, detect_reswitching
 
 MIN_ROW_PLACES = 4  # the starred minimum row keeps extra digits
@@ -120,11 +126,12 @@ def parse_group(text: str) -> FactorGroup:
     try:
         lags = [int(chunk) for chunk in text.split(",") if chunk.strip()]
     except ValueError as exc:
-        raise FlagError(f"bad group spec {text!r}: lags must be integers") from exc
+        problem = int_limit_problem(text) or "lags must be integers"
+        raise FlagError(f"bad group spec {quote_short(text)}: {problem}") from exc
     if not lags:
         raise FlagError("group spec is empty")
     if min(lags) < 1:
-        raise FlagError(f"bad group spec {text!r}: lags start at 1")
+        raise FlagError(f"bad group spec {quote_short(text)}: lags start at 1")
     return FactorGroup.of(*lags)
 
 

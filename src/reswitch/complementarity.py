@@ -97,9 +97,11 @@ def _analytic_two_technique_witness(
 ) -> Optional[ComplementarityWitness]:
     first, second = ts.techniques
     for heavy, light in ((first, second), (second, first)):
-        delta = tuple(h - l for h, l in zip(heavy.labor, light.labor))
-        if delta[j - 1] <= 0 or delta[k - 1] <= 0:
+        if heavy.labor[j - 1] <= light.labor[j - 1]:
             continue
+        if heavy.labor[k - 1] <= light.labor[k - 1]:
+            continue
+        delta = tuple(h - l for h, l in zip(heavy.labor, light.labor))
         if all(d >= 0 for d in delta):
             continue  # heavy never strictly cheaper at positive prices
         # Base point: unit prices except a large price on the lag where the

@@ -35,7 +35,7 @@ from .polynomial import (
     isolate_roots_closed,
     refine_root,
 )
-from .rationals import integer_root
+from .rationals import integer_root, quote_short
 from .switching import APPROX_TOL
 
 MIN_REFINE_TOL = Fraction(1, 10**12)
@@ -102,7 +102,8 @@ def _validate_group(ts: TechnologySet, group: FactorGroup) -> tuple[int, ...]:
     if not lags:
         raise ValueError("factor group must be nonempty")
     if any(t < 1 or t > ts.horizon for t in lags):
-        raise ValueError(f"group lags {lags} outside horizon 1..{ts.horizon}")
+        shown = quote_short(",".join(map(str, lags)))
+        raise ValueError(f"group lags {shown} outside horizon 1..{ts.horizon}")
     if len(lags) >= ts.horizon:
         raise ValueError("factor group must be a proper subset of the lags")
     return lags

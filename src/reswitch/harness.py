@@ -25,7 +25,7 @@ from .complementarity import find_complementary_pair
 from .factorspace import support_groups, verify_single_switch
 from .model import Technique, TechnologySet, samuelson_example
 from .polynomial import _scaled_value
-from .switching import detect_reswitching
+from .switching import _cost_rows, detect_reswitching
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -208,13 +208,13 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
     skipping points inside a guard band around each boundary.
 
     The scan runs on Python ints. Grid point k is x_k = (x0 + k*dx) / scale.
-    Every cost polynomial is multiplied by the common denominator of all
-    coefficients and padded to the common degree, and
-    `polynomial._scaled_value` evaluates it at x_k times the one positive
-    integer scale**degree, so the integer costs have the same argmin sets as
-    the Fraction costs. Each guard band and each segment's guarded span
-    becomes a range of k by one exact ceil and floor; the first segment
-    holding k wins.
+    Every technique's unit-wage cost row (`switching._cost_rows`: one common
+    denominator, the menu's degree) is evaluated by
+    `polynomial._scaled_value` at x_k times the one positive integer
+    scale**degree, so the integer costs have the same argmin sets as the
+    Fraction costs at the menu's positive wage. Each guard band and each
+    segment's guarded span becomes a range of k by one exact ceil and floor;
+    the first segment holding k wins.
     """
     points = GRID_CHECK_POINTS
     step = (hi - lo) / points
@@ -237,14 +237,7 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
             if owner[k] is None:
                 owner[k] = seg.winner
 
-    coeffs = {t.name: t.cost_polynomial(ts.wage).coeffs for t in ts.techniques}
-    length = max(len(cs) for cs in coeffs.values())
-    denom = math.lcm(*(c.denominator for cs in coeffs.values() for c in cs))
-    # padded to the common degree, so every row shares scale**degree
-    rows = {
-        name: [(c * denom).numerator for c in cs] + [0] * (length - len(cs))
-        for name, cs in coeffs.items()
-    }
+    rows = dict(zip(ts.names, _cost_rows(ts.techniques)[0]))
 
     mismatches = 0
     for k in range(points + 1):

@@ -39,7 +39,8 @@ class Technique:
     labor: tuple[Fraction, ...]
 
     def __init__(self, name: str, labor: Iterable):
-        values = tuple(Fraction(v) for v in labor)
+        # Fraction(Fraction) copies through the slow numbers-ABC path
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in labor)
         if not name:
             raise ModelFormatError("technique name must be nonempty")
         if not values:

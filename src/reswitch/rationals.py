@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from .errors import ModelFormatError
 
@@ -21,6 +22,20 @@ def quote_short(text: str) -> str:
     if len(text) <= 40:
         return repr(text)
     return f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def int_limit_problem(text: str) -> Optional[str]:
+    """What is wrong when a run of digits in text exceeds the interpreter's
+    int-string limit, which no int or Fraction can be parsed past; else
+    None."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = max(map(len, re.findall(r"\d+", text)), default=0)
+    if 0 < limit < digits:
+        return (
+            f"{digits} digits exceed the interpreter's int-string limit of "
+            f"{limit} (sys.get_int_max_str_digits())"
+        )
+    return None
 
 
 def parse_rational(text: str) -> Fraction:
@@ -37,14 +52,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        digits = max(map(len, re.findall(r"\d+", text)), default=0)
-        problem = "not a rational number"
-        if 0 < limit < digits:
-            problem = (
-                f"{digits} digits exceed the interpreter's int-string limit of "
-                f"{limit} (sys.get_int_max_str_digits())"
-            )
+        problem = int_limit_problem(text) or "not a rational number"
         raise ModelFormatError(f"{problem}: {quote_short(text)}") from exc
 
 

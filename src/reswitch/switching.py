@@ -9,16 +9,22 @@ enter the dominance map's segments or boundaries; the same pass over the
 technique pairs collects them into `DominanceMap.tangencies`.
 
 A `MenuAnalysis` holds one menu's pair analysis on one domain: the
-checked domain, the representatives of its distinct profiles, one unit-wage
-cost polynomial per representative (pair differences, gap winners and tie
-costs all read that table), and a `_PairTies` record (the difference, its
-roots and its in-domain ties) for each representative pair, isolated the
-first time the pair is asked for. A pair of clones, or a pair asked for in
-the other orientation, reads the same record. The analysis lives as long as
-its caller keeps it: `dominance_map` and `detect_reswitching` build a fresh
-one when given none, `reswitch analyze` builds one per command and hands it
-to every step that reads a pair, and no module-level state or returned
-object refers to an analysis or a record, so nothing outlives the call.
+checked domain, the representatives of its distinct profiles, one integer
+cost row per representative (its unit-wage cost polynomial, constant term
+first, times the common denominator of all labor inputs; every row has the
+menu's degree, so `polynomial._scaled_value` puts all of them at one scale
+at any rational point), and a `_PairTies` record (the difference, its roots
+and its in-domain ties) for each representative pair, isolated the first
+time the pair is asked for. Pair differences, gap winners, tie sets and tie
+costs all read the rows: a difference is a positive multiple of the cost
+difference, which no root certificate depends on, and each tie cost is one
+exact `Fraction` of a row's scaled value. A pair of clones, or a pair asked
+for in the other orientation, reads the same record. The analysis lives as
+long as its caller keeps it: `dominance_map` and `detect_reswitching` build
+a fresh one when given none, `reswitch analyze` builds one per command and
+hands it to every step that reads a pair, and no module-level state or
+returned object refers to an analysis or a record, so nothing outlives the
+call.
 Brackets are narrowed by `polynomial._narrow` on primitive integer vectors,
 the tie polynomial's own for odd ties, each converted once per bracket or
 cut.
@@ -40,6 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import lcm
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import DivisionByZeroError, DomainError, IdenticalTechniquesError
@@ -51,6 +59,8 @@ from .polynomial import (
     _bisection_poly,
     _int_vector,
     _narrow,
+    _scaled_value,
+    _sign_at,
     cauchy_root_bound,
     count_distinct_roots,
     isolate_real_roots,
@@ -182,16 +192,30 @@ def _gap_sample(full: Sequence[RootInterval], k: int) -> Fraction:
     return right_edge
 
 
+def _cost_rows(techs: Sequence[Technique]) -> tuple[list[list[int]], int]:
+    """The unit-wage cost rows of techniques of one horizon, and their scale.
+
+    Each row holds a cost polynomial's coefficients, constant term first,
+    times denom, the common denominator of all labor inputs. With n the
+    horizon, `_scaled_value(row, num, den)` is den**n * denom times the cost
+    at x = num/den, one positive scale for every row at a point.
+    """
+    denom = lcm(*(v.denominator for t in techs for v in t.labor))
+    rows = [[0] + [v.numerator * (denom // v.denominator) for v in t.labor] for t in techs]
+    return rows, denom
+
+
 def _difference(a: Technique, b: Technique) -> Polynomial:
-    a, b = _pad_pair(a, b)
-    return a.cost_polynomial(Fraction(1)) - b.cost_polynomial(Fraction(1))
+    """A positive multiple of cost_a - cost_b at unit wage."""
+    (row_a, row_b), _ = _cost_rows(_pad_pair(a, b))
+    return Polynomial(map(sub, row_a, row_b))
 
 
 @dataclass(frozen=True)
 class _PairTies:
-    """One pair's tie structure: the cost difference d = cost_a - cost_b at
-    unit wage, every real root of d, and the (index, clipped root) pairs
-    lying inside the closed interest domain."""
+    """One pair's tie structure: d, a positive multiple of the cost
+    difference cost_a - cost_b at unit wage, every real root of d, and the
+    (index, clipped root) pairs lying inside the closed interest domain."""
 
     d: Polynomial
     full: tuple[RootInterval, ...]
@@ -205,7 +229,8 @@ class _PairTies:
 def _pair_ties(
     a: Technique, b: Technique, d: Polynomial, lo: Fraction, hi: Fraction
 ) -> _PairTies:
-    """The tie structure of a and b, whose unit-wage cost difference is d."""
+    """The tie structure of a and b; d is a positive multiple of their
+    unit-wage cost difference."""
     if d.is_zero:
         raise IdenticalTechniquesError(
             f"techniques {a.name!r} and {b.name!r} have identical costs everywhere"
@@ -231,15 +256,16 @@ def _to_interest(iv: RootInterval) -> RootInterval:
 def _switch_points(
     a: Technique, b: Technique, ties: _PairTies, wage: Fraction
 ) -> list[SwitchPoint]:
-    """The odd ties of a and b, read from the record of d = cost_a - cost_b,
-    with tie costs at the given wage."""
+    """The odd ties of a and b, read from the record of d, a positive
+    multiple of cost_a - cost_b, with tie costs at the given wage."""
     cost_a = a.cost_polynomial(wage)
+    f = _int_vector(ties.d)
     out = []
     for k, iv in ties.in_domain:
         if iv.parity != ODD:
             continue
-        below = ties.d(_gap_sample(ties.full, k))
-        above = ties.d(_gap_sample(ties.full, k + 1))
+        below = _sign_at(f, _gap_sample(ties.full, k))
+        above = _sign_at(f, _gap_sample(ties.full, k + 1))
         assert below != 0 and above != 0 and (below < 0) != (above < 0)
         cheaper_below = a.name if below < 0 else b.name
         cheaper_above = b.name if below < 0 else a.name
@@ -304,7 +330,8 @@ class MenuAnalysis:
     """The pair analysis of one menu on one interest domain, for one call.
 
     It checks the domain, collapses identical profiles and builds the
-    representatives' unit-wage cost polynomials once, and isolates each
+    representatives' integer cost rows once (`rows`, each the unit-wage
+    cost times `denom`, all of one degree), and isolates each
     representative pair the first time it is asked for. Clones read their
     representative's record, and the other orientation reads it with the
     difference negated: isolation, clipping and bisection make the same
@@ -324,7 +351,8 @@ class MenuAnalysis:
             for rep in self.reps
             for name in (rep.name, *self.aliases[rep.name])
         }
-        self.unit = {r.name: r.cost_polynomial(Fraction(1)) for r in self.reps}
+        rows, self.denom = _cost_rows(self.reps)
+        self.rows = {r.name: row for r, row in zip(self.reps, rows)}
         self._members = {t.name: t for t in ts.techniques}
         self._rank = {r.name: k for k, r in enumerate(self.reps)}
         self._ties: dict[tuple[str, str], _PairTies] = {}
@@ -343,11 +371,13 @@ class MenuAnalysis:
         key = (rb, ra) if flip else (ra, rb)
         ties = self._ties.get(key)
         if ties is None:
-            u, v = key
-            d = self.unit[u] - self.unit[v]
-            ties = _pair_ties(a, b, d, self.lo, self.hi)
+            ties = _pair_ties(a, b, self.difference(*key), self.lo, self.hi)
             self._ties[key] = ties
         return _PairTies(-ties.d, ties.full, ties.in_domain) if flip else ties
+
+    def difference(self, u: str, v: str) -> Polynomial:
+        """A positive multiple of cost_u - cost_v, for two representatives."""
+        return Polynomial(map(sub, self.rows[u], self.rows[v]))
 
     def switch_points(self, a: Technique, b: Technique) -> list[SwitchPoint]:
         """`pairwise_switch_points(a, b, lo, hi, ts.wage)`, read from the
@@ -385,12 +415,14 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
     """Make all cuts pairwise disjoint, as closed intervals.
 
     One sweep takes the cuts in order of left end, each against the last one
-    kept, the only one it can overlap. Two brackets that share a recorded
-    pair hold distinct roots of its difference; two others hold one root
-    when their polynomials share a root where they meet, as each isolates
-    its own polynomial's root. One point or root merges into the cut built
-    first; else the wider cut (an exact one has width 0) is halved and goes
-    back into the sweep."""
+    kept, the only one it can overlap. Two exact cuts hold one point when
+    they are equal; an exact cut and a bracket never hold one, as no bracket
+    contains an exact root of its own polynomial. Two brackets that share a
+    recorded pair hold distinct roots of its difference; two others hold one
+    root when their polynomials share a root where they meet, as each
+    isolates its own polynomial's root. One point or root merges into the
+    cut built first; else the wider cut (an exact one has width 0) is halved
+    and goes back into the sweep."""
     heap = [(c.lo, serial, c) for serial, c in enumerate(cuts)]
     heapify(heap)
     kept: list[tuple[int, _Cut]] = []  # (serial, cut), disjoint, by left end
@@ -400,10 +432,13 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
             kept.append((serial, c))
             continue
         k_serial, k = kept[-1]  # k.lo <= c.lo <= k.hi
-        if (c.exact is not None and c.exact == k.exact) or (
-            not k.pairs & c.pairs
-            and count_distinct_roots(poly_gcd(k.poly, c.poly), c.lo, min(k.hi, c.hi))
-        ):
+        if c.exact is not None or k.exact is not None:
+            same = c.exact == k.exact
+        else:
+            same = not k.pairs & c.pairs and count_distinct_roots(
+                poly_gcd(k.poly, c.poly), c.lo, min(k.hi, c.hi)
+            )
+        if same:
             if serial < k_serial:
                 c.pairs |= k.pairs
                 kept[-1] = (serial, c)
@@ -459,10 +494,12 @@ def dominance_map(
         seg = Segment(lo, hi, reps[0].name, tuple(aliases[reps[0].name]))
         return DominanceMap((lo, hi), (seg,), ())
 
-    # read by every step below: pair differences, gap winners (the wage is
-    # positive, so unit costs have the same argmin) and tie sets; tie costs
-    # are the wage times the unit cost
-    unit, rep_of = analysis.unit, analysis.rep_of
+    # gap winners and tie sets compare scaled row values, which share one
+    # positive scale at a point (the wage is positive too, so unit costs
+    # have the same argmin); a tie cost is the wage times one row value
+    # over that scale
+    rows, denom, rep_of = analysis.rows, analysis.denom, analysis.rep_of
+    degree = ts.horizon
 
     cuts: list[_Cut] = []
     tangencies: list[Tangency] = []
@@ -482,11 +519,14 @@ def dominance_map(
         cuts[0].narrow(lambda a, b: a <= xlo)
         cuts[-1].narrow(lambda a, b: b >= xhi)
 
-    def costs_at(x: Fraction) -> list[Fraction]:
-        return [unit[r.name](x) for r in reps]
+    def scaled_costs(x: Fraction) -> list[int]:
+        return [_scaled_value(rows[r.name], x.numerator, x.denominator) for r in reps]
+
+    def tie_cost(scaled: int, x: Fraction) -> Fraction:
+        return wage * Fraction(scaled, x.denominator**degree * denom)
 
     def min_owners(x: Fraction) -> list[Technique]:
-        values = costs_at(x)
+        values = scaled_costs(x)
         best = min(values)
         return [r for r, c in zip(reps, values) if c == best]
 
@@ -520,25 +560,26 @@ def dominance_map(
         bracket (an even tie at the cut, say)."""
         if cut.exact is not None:
             x = cut.exact
-            values = costs_at(x)
+            values = scaled_costs(x)
             best = min(values)  # the anchor's cost
             ties = named({r.name for r, c in zip(reps, values) if c == best})
-            tie_cost = wage * best
+            cost = tie_cost(best, x)
             cert = RootInterval(x - 1, x - 1, ODD)
-            return Boundary(x - 1, x - 1, cert, ties, tie_cost, tie_cost)
+            return Boundary(x - 1, x - 1, cert, ties, cost, cost)
         ties = named(
             {
                 r.name
                 for r in reps
                 if r.name == anchor.name
                 or frozenset((anchor.name, r.name)) in cut.pairs
-                or _keeps_root(cut, unit[anchor.name] - unit[r.name])
+                or _keeps_root(cut, analysis.difference(anchor.name, r.name))
             }
         )
         approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), cut.poly, APPROX_TOL)
         cert = RootInterval(cut.lo - 1, cut.hi - 1, ODD)
-        tie_cost = wage * unit[anchor.name](approx_x)
-        return Boundary(None, approx_x - 1, cert, ties, None, tie_cost)
+        value = _scaled_value(rows[anchor.name], approx_x.numerator, approx_x.denominator)
+        cost = tie_cost(value, approx_x)
+        return Boundary(None, approx_x - 1, cert, ties, None, cost)
 
     segments: list[Segment] = []
     boundaries: list[Boundary] = []

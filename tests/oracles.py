@@ -249,8 +249,9 @@ def bisect_root(func, lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
     return (lo + hi) / 2
 
 
-def cheapest_names(labors: dict, wage: Fraction, interest: Fraction) -> set:
-    """Direct evaluation of sum_t w (1+i)**t L_t per technique; the argmin set."""
+def cheapest_at(labors: dict, wage: Fraction, interest: Fraction) -> tuple[set, Fraction]:
+    """Direct evaluation of sum_t w (1+i)**t L_t per technique: the argmin
+    set and the minimum cost."""
     x = 1 + Fraction(interest)
     costs = {}
     for name, labor in labors.items():
@@ -259,7 +260,12 @@ def cheapest_names(labors: dict, wage: Fraction, interest: Fraction) -> set:
             Fraction(0),
         )
     best = min(costs.values())
-    return {n for n, c in costs.items() if c == best}
+    return {n for n, c in costs.items() if c == best}, best
+
+
+def cheapest_names(labors: dict, wage: Fraction, interest: Fraction) -> set:
+    """The argmin set of `cheapest_at`."""
+    return cheapest_at(labors, wage, interest)[0]
 
 
 def grid_mismatches(

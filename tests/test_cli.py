@@ -238,6 +238,22 @@ class TestGroupChecks:
         assert_one_error_line(cp, "outside horizon 1..3")
 
     @pytest.mark.parametrize("command", GROUP_COMMANDS)
+    def test_lag_beyond_the_int_str_limit(self, command):
+        # the spec is quoted by its first characters, and the limit named
+        limit = sys.get_int_max_str_digits()
+        cp = run_cli(*command, "--model", MODEL, "--group", "1" * (limit + 700))
+        assert cp.returncode == 2
+        assert len(cp.stderr.encode()) < 300
+        assert f"int-string limit of {limit}" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize("command", GROUP_COMMANDS)
+    def test_long_lag_outside_horizon(self, command):
+        cp = run_cli(*command, "--model", MODEL, "--group", "1," + "2" * 4000)
+        assert_one_error_line(cp, "outside horizon 1..3")
+        assert len(cp.stderr.encode()) < 300
+
+    @pytest.mark.parametrize("command", GROUP_COMMANDS)
     @pytest.mark.parametrize("group", ["1,2,3", "3,2,1"])
     def test_group_covering_every_lag(self, command, group):
         cp = run_cli(*command, "--model", MODEL, "--group", group)

@@ -10,8 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import bisect_root, cheapest_changes, cheapest_names, grid_mismatches
+from oracles import (
+    bisect_root,
+    cheapest_at,
+    cheapest_changes,
+    cheapest_names,
+    grid_mismatches,
+)
 import reswitch.cli as cli
+import reswitch.harness as harness
 import reswitch.polynomial as polynomial
 import reswitch.switching as switching
 from reswitch import (
@@ -28,6 +35,8 @@ from reswitch import (
     pairwise_tangencies,
     samuelson_example,
 )
+
+DATA = Path(__file__).parent / "data"
 
 A = Technique("a", (0, 7, 0))
 B = Technique("b", (6, 0, 2))
@@ -312,6 +321,52 @@ class TestDominance:
             dominance_map(TechnologySet(techs), F(0), F(3))
         assert seen["exact"] > 0 and seen["bracket"] > 0 and seen["merged"] > 0
 
+    def test_exact_cut_meeting_a_bracket_takes_no_gcd(self, monkeypatch):
+        # c - d = x (5 - 2x^2) crosses at x = sqrt(5/2), and its isolating
+        # bracket holds a's and b's exact tie at x = 3/2; c and d never come
+        # near the minimum, so the map is that of a and b alone
+        calls = []
+        original = switching.poly_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        c, d = Technique("c", (44, 39, 41)), Technique("d", (39, 39, 43))
+        alone = dominance_map(samuelson_example(), F(0), F(3, 2))
+        monkeypatch.setattr(switching, "poly_gcd", counting)
+        dom = dominance_map(TechnologySet([A, B, c, d]), F(0), F(3, 2))
+        assert calls == []
+        assert (dom.segments, dom.boundaries) == (alone.segments, alone.boundaries)
+        assert [b.interest_exact for b in dom.boundaries] == [F(1, 2), F(1)]
+
+    def test_matches_fraction_oracle_at_points(self):
+        # gap winners, exact tie sets and tie costs at wage 3/2 against a
+        # direct Fraction evaluation of every technique's cost
+        rng = random.Random(1406)
+        three_way = irrational = clones = 0
+        for _ in range(60):
+            ts = _planted_exact_tie_menu(rng)
+            labors = {t.name: t.labor for t in ts.techniques}
+            dom = dominance_map(ts, F(0), F(2))
+            for seg in dom.segments:
+                names, _ = cheapest_at(labors, ts.wage, (seg.lo + seg.hi) / 2)
+                assert names == {seg.winner, *seg.co_winners}
+                clones += bool(seg.co_winners)
+            for b in dom.boundaries:
+                if b.interest_exact is not None:
+                    names, cost = cheapest_at(labors, ts.wage, b.interest_exact)
+                    assert set(b.ties) == names
+                    assert b.tie_cost_exact == b.tie_cost_approx == cost
+                    three_way += len(names) >= 3
+                    continue
+                # the anchor is the winner of the segment that ends here
+                (anchor,) = [s.winner for s in dom.segments if s.hi == b.interest_approx]
+                _, cost = cheapest_at({anchor: labors[anchor]}, ts.wage, b.interest_approx)
+                assert b.tie_cost_exact is None and b.tie_cost_approx == cost
+                irrational += 1
+        assert three_way >= 30 and irrational >= 15 and clones >= 20
+
     def test_irrational_boundaries_read_a_pair_switch_point(self):
         # r1 and b cross once near 29.6%; the merged three-way tie of a, b
         # and c sits near 170.7%. Separation narrows no bracket past its own
@@ -496,6 +551,31 @@ def _three_way_tie_menu(rng: random.Random) -> TechnologySet:
     return TechnologySet([Technique(f"t{k}", p) for k, p in enumerate(profiles)])
 
 
+def _planted_exact_tie_menu(rng: random.Random) -> TechnologySet:
+    """a and b with b - a = s x (x - r1)(x - r2) for rationals r1 < r2 in
+    (1, 3), their midpoint, which ties both exactly at r1 and r2, 1-4
+    random profiles and 1-2 clones, over horizon 3-5 at wage 3/2,
+    shuffled."""
+    horizon = rng.randint(3, 5)
+    r1, r2 = sorted(rng.sample([F(5, 4), F(3, 2), F(7, 4), F(2), F(9, 4), F(5, 2)], 2))
+    s = F(rng.randint(1, 4), 2)
+    lag = rng.randint(1, horizon - 2)  # b - a occupies lags lag .. lag + 2
+    a = [F(rng.randint(0, 4), rng.choice((1, 2))) for _ in range(horizon)]
+    a[lag] += s * (r1 + r2)
+    b = list(a)
+    b[lag - 1] += s * r1 * r2
+    b[lag] -= s * (r1 + r2)
+    b[lag + 1] += s
+    profiles = [tuple(a), tuple(b), tuple((p + q) / 2 for p, q in zip(a, b))]
+    for _ in range(rng.randint(1, 4)):
+        prof = tuple(F(rng.randint(0, 8), rng.choice((1, 2))) for _ in range(horizon))
+        profiles.append(prof if any(prof) else (F(1),) * horizon)
+    profiles += rng.sample(profiles, rng.randint(1, 2))
+    rng.shuffle(profiles)
+    techs = [Technique(f"t{k}", p) for k, p in enumerate(profiles)]
+    return TechnologySet(techs, wage=F(3, 2))
+
+
 def _approximations_off_switch_points(ts: TechnologySet, dom) -> list:
     """The irrational boundaries whose interest_approx is no switch point
     of two of their tied techniques."""
@@ -621,6 +701,32 @@ class TestSharedPairAnalysis:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["analyze", "--model", path]) == 0
         assert len(calls) == 1
+
+    def test_dominance_map_evaluates_no_cost_polynomial(self, monkeypatch):
+        # with every pair record built first, gap winners, tie sets and tie
+        # costs come from the integer rows alone
+        menus = [samuelson_example(), cli.load_model(str(DATA / "clone_irr.json"))]
+        cfg = harness.GeneratorConfig(seed=7, trials=200)
+        menus += [harness.generate_technology(cfg, k) for k in range(200)]
+        calls = []
+        original = polynomial.Polynomial.__call__
+
+        def counting(p, x):
+            calls.append(x)
+            return original(p, x)
+
+        boundaries = 0
+        for ts in menus:
+            analysis = MenuAnalysis(ts)
+            for u, v in combinations(analysis.reps, 2):
+                analysis.pair_ties(u, v)
+            monkeypatch.setattr(polynomial.Polynomial, "__call__", counting)
+            dom = dominance_map(ts, analysis=analysis)
+            monkeypatch.setattr(polynomial.Polynomial, "__call__", original)
+            assert calls == []
+            assert dom == dominance_map(ts)
+            boundaries += len(dom.boundaries)
+        assert boundaries >= 100
 
     def test_analysis_reads_match_standalone_calls(self):
         placements, wages, irrational = [], set(), 0
