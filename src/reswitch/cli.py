@@ -117,7 +117,7 @@ def parse_rate_list(text: str, unit: str) -> list[Fraction]:
         except ModelFormatError as exc:
             raise FlagError(f"bad rate {quote_short(chunk.strip())}: {exc}") from exc
         if i <= -1:
-            raise DomainError(f"interest rate {chunk.strip()} is at or below -100%")
+            raise DomainError(f"interest rate {quote_short(chunk.strip())} is at or below -100%")
         rates.append(i)
     return rates
 
@@ -154,7 +154,7 @@ def model_group(ts: TechnologySet, text: str, command: str) -> FactorGroup:
 def parse_grid(text: str, unit: str) -> list[Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise FlagError(f"grid spec {text!r} must be LO:HI:STEP")
+        raise FlagError(f"grid spec {quote_short(text)} must be LO:HI:STEP")
     try:
         lo = _rate_to_interest(parts[0], unit)
         hi = _rate_to_interest(parts[1], unit)
@@ -166,19 +166,17 @@ def parse_grid(text: str, unit: str) -> list[Fraction]:
     if hi < lo:
         raise FlagError("grid upper bound below lower bound")
     if lo <= -1:
-        raise DomainError(f"grid start {parts[0].strip()} is at or below -100%")
+        raise DomainError(f"grid start {quote_short(parts[0].strip())} is at or below -100%")
     count = (hi - lo) // step + 1
     if count > MAX_GRID_POINTS:
-        raise FlagError(
-            f"grid spec {text!r} has {count} points; at most {MAX_GRID_POINTS} allowed"
-        )
+        raise FlagError(f"grid spec {quote_short(text)} has more than {MAX_GRID_POINTS} points")
     return [lo + k * step for k in range(count)]
 
 
 def parse_domain(text: str, unit: str) -> tuple[Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise FlagError(f"domain spec {text!r} must be LO:HI")
+        raise FlagError(f"domain spec {quote_short(text)} must be LO:HI")
     try:
         lo = _rate_to_interest(parts[0], unit)
         hi = _rate_to_interest(parts[1], unit)

@@ -11,8 +11,8 @@ The isolation routine combines three exact ingredients:
   divided by its content, a positive multiple of the remainder over the
   rationals, and each quotient by a primitive divisor is exact in integers
   by Gauss's lemma. A root's parity is read from the signs of the integer
-  factors, by homogenized Horner. `poly_gcd` and `squarefree_part` still
-  return monic rational polynomials;
+  factors, by homogenized Horner. These integer routines are the package's
+  only gcd and square-free code;
 * rational roots are found by the rational-root theorem on the square-free
   integer vector and returned as degenerate (point) intervals: each
   candidate num/den is tested in integers, by homogenized Horner after cheap
@@ -114,33 +114,8 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial(c / lead for c in self.coeffs)
-
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            term = "x" if k == 1 else f"x^{k}" if k > 1 else ""
-            coef = "" if mag == 1 and term else str(mag)
-            body = coef + ("*" if coef and term else "") + term
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
 
 def _primitive_ints(v: list[int]) -> list[int]:
@@ -224,23 +199,11 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return quo
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over Q (gcd with zero is the other)."""
-    g = _primitive_gcd(_int_vector(a), _int_vector(b))
-    return Polynomial(g).monic()
-
-
 def _squarefree_ints(f: list[int]) -> list[int]:
     """f / gcd(f, f') for a nonzero primitive integer vector f."""
     if len(f) == 1:
         return f
     return _exact_quotient(f, _primitive_gcd(f, _derivative_ints(f)))
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    if p.is_zero:
-        raise ZeroPolynomialError("square-free part of the zero polynomial")
-    return Polynomial(_squarefree_ints(_int_vector(p))).monic()
 
 
 def _yun_ints(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
@@ -273,17 +236,6 @@ def _yun_ints(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
     return sf, out
 
 
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition: [(f_k, k)], each f_k monic, with p proportional to
-    prod f_k**k."""
-    if p.is_zero:
-        raise ZeroPolynomialError("decomposition of the zero polynomial")
-    f = _int_vector(p)
-    if len(f) == 1:
-        return []
-    return [(Polynomial(a).monic(), k) for a, k in _yun_ints(f)[1]]
-
-
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
     """The Sturm sequence of p, each member primitive in integers.
 
@@ -304,17 +256,6 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
 def sign_variations(values: Sequence[Fraction]) -> int:
     signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_count(chain: Sequence[Polynomial], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of chain[0] in (a, b); endpoints must not be roots."""
-    va = sign_variations([q(a) for q in chain])
-    vb = sign_variations([q(b) for q in chain])
-    return va - vb
-
-
-def count_distinct_roots(p: Polynomial, a: Fraction, b: Fraction) -> int:
-    return sturm_count(sturm_chain(p), a, b)
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:

@@ -36,8 +36,9 @@ a bracket stays a node of its own pair's bisection and an irrational
 boundary's approximation is that pair's switch point (unless separation
 narrowed the bracket below APPROX_TOL). At an exact point a boundary's tie
 set is every technique at the minimum cost there. In a bracket it is the
-pairs the cut records, else a gcd and Sturm test per representative (one
-with an even tie there, say).
+pairs the cut records, else a shared-root test per representative (one
+with an even tie there, say): whether the square-free part of an integer
+gcd changes sign across the bracket. Sturm chains only isolate.
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ from .polynomial import (
     Polynomial,
     RootInterval,
     _bisection_poly,
+    _changes_sign,
     _int_vector,
     _narrow,
+    _primitive_gcd,
     _scaled_value,
     _sign_at,
+    _squarefree_ints,
     cauchy_root_bound,
-    count_distinct_roots,
     isolate_real_roots,
-    poly_gcd,
     refine_root,
 )
 
@@ -140,7 +142,8 @@ class ReswitchReport:
 
 
 def _check_domain(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    lo, hi = Fraction(lo), Fraction(hi)
+    # Fraction(Fraction) copies through the slow numbers-ABC path
+    lo, hi = (v if type(v) is Fraction else Fraction(v) for v in (lo, hi))
     if lo <= -1:
         raise DomainError(f"domain start {lo} is at or below -100%")
     if hi <= lo:
@@ -398,7 +401,7 @@ class _Cut:
     __slots__ = ("poly", "ints", "exact", "lo", "hi", "pairs")
 
     def __init__(self, poly: Polynomial, lo: Fraction, hi: Fraction, pairs: set):
-        self.poly = poly  # vanishes at the point; basis for gcd tie tests
+        self.poly = poly  # vanishes at the point; refined at a boundary
         self.exact = lo if lo == hi else None
         self.ints = None if self.exact is not None else _int_vector(poly)  # bisected
         self.lo = lo
@@ -420,9 +423,9 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
     contains an exact root of its own polynomial. Two brackets that share a
     recorded pair hold distinct roots of its difference; two others hold one
     root when their polynomials share a root where they meet, as each
-    isolates its own polynomial's root. One point or root merges into the
-    cut built first; else the wider cut (an exact one has width 0) is halved
-    and goes back into the sweep."""
+    isolates its own polynomial's root (`_shares_root` on the overlap). One
+    point or root merges into the cut built first; else the wider cut (an
+    exact one has width 0) is halved and goes back into the sweep."""
     heap = [(c.lo, serial, c) for serial, c in enumerate(cuts)]
     heapify(heap)
     kept: list[tuple[int, _Cut]] = []  # (serial, cut), disjoint, by left end
@@ -435,8 +438,8 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
         if c.exact is not None or k.exact is not None:
             same = c.exact == k.exact
         else:
-            same = not k.pairs & c.pairs and count_distinct_roots(
-                poly_gcd(k.poly, c.poly), c.lo, min(k.hi, c.hi)
+            same = not k.pairs & c.pairs and _shares_root(
+                c.ints, k.ints, c.lo, min(k.hi, c.hi)
             )
         if same:
             if serial < k_serial:
@@ -454,13 +457,15 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
     return [c for _, c in kept]
 
 
-def _keeps_root(cut: _Cut, d: Polynomial) -> bool:
-    """Whether d vanishes at the bracketed cut's root: gcd(cut.poly, d) has
-    a root in the bracket, which holds that root alone."""
-    h = poly_gcd(cut.poly, d)
-    return h.degree is not None and h.degree > 0 and (
-        count_distinct_roots(h, cut.lo, cut.hi) == 1
-    )
+def _shares_root(f: list[int], g: list[int], a: Fraction, b: Fraction) -> bool:
+    """Whether the integer vectors f and g share a root in (a, b), where f
+    has at most one root in [a, b] and a and b are not roots of f.
+
+    gcd(f, g) has no other root there, so its square-free part changes sign
+    across [a, b] exactly when that root is shared, at any multiplicity in
+    g (an even tie, say).
+    """
+    return _changes_sign(_squarefree_ints(_primitive_gcd(f, g)), a, b)
 
 
 def dominance_map(
@@ -572,7 +577,9 @@ def dominance_map(
                 for r in reps
                 if r.name == anchor.name
                 or frozenset((anchor.name, r.name)) in cut.pairs
-                or _keeps_root(cut, analysis.difference(anchor.name, r.name))
+                or _shares_root(
+                    cut.ints, _int_vector(analysis.difference(anchor.name, r.name)), cut.lo, cut.hi
+                )
             }
         )
         approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), cut.poly, APPROX_TOL)

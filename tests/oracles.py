@@ -209,6 +209,17 @@ def fraction_sturm_chain(coeffs) -> list[list[Fraction]]:
     return chain
 
 
+def fraction_sturm_count(coeffs, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b) of a nonzero coefficient list, neither
+    end a root, by Sturm's theorem on `fraction_sturm_chain`."""
+
+    def variations(x: Fraction) -> int:
+        signs = [v > 0 for v in (_poly_eval(q, x) for q in fraction_sturm_chain(coeffs)) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
+
+
 def fraction_narrow(coeffs, a: Fraction, b: Fraction, more) -> tuple[Fraction, Fraction]:
     """Bisect [a, b], across which the polynomial (coefficient list, constant
     term first) changes sign, evaluating it as a Fraction at every midpoint;

@@ -197,7 +197,7 @@ class TestCurves:
         )
         elapsed = time.monotonic() - start
         assert cp.returncode == 2
-        assert "1000000001 points" in cp.stderr
+        assert f"more than {MAX_GRID_POINTS} points" in cp.stderr
         assert elapsed < 1
 
     def test_grid_cap_is_exact(self):
@@ -207,6 +207,27 @@ class TestCurves:
         assert parse_grid("0:1:3/10", "fraction") == [0, F(3, 10), F(3, 5), F(9, 10)]
         with pytest.raises(FlagError):
             parse_grid(f"0:{last + 1}:1", "fraction")
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("curves", "figure2", "--grid", "0:{z}:1/{z}"), 2),  # about z**2 points
+            (("curves", "figure2", "--grid", "{z}"), 2),  # not LO:HI:STEP
+            (("curves", "figure2", "--grid=-{z}:1:1"), 1),  # start below -100%
+            (("analyze", "--domain", "{z}"), 2),  # not LO:HI
+            (("table1", "--rates", "-{z}"), 1),  # rate below -100%
+        ],
+        ids=["grid_points", "grid_shape", "grid_start", "domain_shape", "rate"],
+    )
+    def test_long_specs_quoted_short(self, args, code):
+        # a 3,000-digit number is quoted by its first characters; the point
+        # count of about 6,000 digits is not printed at all
+        z = "1" * 3000
+        cp = run_cli(*(a.format(z=z) for a in args), "--model", MODEL, "--unit", "fraction")
+        assert cp.returncode == code, cp.stderr[-300:]
+        assert "Traceback" not in cp.stderr
+        assert "characters)" in cp.stderr
+        assert len(cp.stderr.encode()) < 1024
 
 
 GROUP_COMMANDS = [

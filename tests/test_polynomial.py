@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    _fraction_derivative,
     _fraction_divmod,
     bisect_root,
     fraction_gcd,
     fraction_narrow,
     fraction_sturm_chain,
+    fraction_sturm_count,
     fraction_yun,
     oracle_root_value,
     rational_roots,
@@ -29,11 +31,11 @@ from reswitch import (
     refine_root,
 )
 from reswitch.polynomial import (
+    _int_vector,
+    _primitive_gcd,
+    _squarefree_ints,
+    _yun_ints,
     cauchy_root_bound,
-    count_distinct_roots,
-    poly_gcd,
-    squarefree_decomposition,
-    squarefree_part,
     sturm_chain,
 )
 from reswitch.switching import _clip_bracket
@@ -43,6 +45,11 @@ X = Polynomial.monomial(1)
 
 def poly(*coeffs):
     return Polynomial(coeffs)
+
+
+def monic(coeffs):
+    """A coefficient list divided by its leading coefficient, in Fractions."""
+    return [F(c) / coeffs[-1] for c in coeffs]
 
 
 class TestArithmetic:
@@ -85,17 +92,19 @@ class TestStructure:
     def test_gcd(self):
         p = poly(-2, 1) * poly(-3, 1) * poly(1, 1)
         q = poly(-2, 1) * poly(5, 1)
-        assert poly_gcd(p, q) == poly(-2, 1)
+        assert _primitive_gcd(_int_vector(p), _int_vector(q)) == [-2, 1]
+        assert fraction_gcd(p.coeffs, q.coeffs) == [-2, 1]
 
     def test_squarefree_decomposition(self):
         p = poly(0, 1) * poly(-2, 1) * poly(-2, 1)  # x (x-2)^2
-        factors = squarefree_decomposition(p)
-        assert factors == [(poly(0, 1), 1), (poly(-2, 1), 2)]
-        assert squarefree_part(p) == poly(0, 1) * poly(-2, 1)
+        sf, factors = _yun_ints(_int_vector(p))
+        assert factors == [([0, 1], 1), ([-2, 1], 2)]
+        assert sf == _squarefree_ints(_int_vector(p)) == [0, -2, 1]  # x (x-2)
+        assert fraction_yun(p.coeffs) == (sf, factors)
 
     def test_isolation_takes_one_gcd_on_squarefree_input(self, monkeypatch):
         # Yun runs its gcds on integer vectors, by the primitive remainder
-        # sequence, without going through poly_gcd
+        # sequence
         calls = []
         original = polynomial._primitive_gcd
 
@@ -130,13 +139,16 @@ class TestStructure:
             p = poly(rng.choice((-3, 2, 5, F(1, 2))))
             for f in factors + [rng.choice(factors)]:
                 p = p * f
-            quotient, _ = _fraction_divmod(p.coeffs, poly_gcd(p, p.derivative()).coeffs)
-            assert squarefree_part(p) == Polynomial(quotient).monic()
-            product = poly(1)
-            for f, k in squarefree_decomposition(p):
-                for _ in range(k):
-                    product = product * f
-            assert product == p.monic()
+            f = _int_vector(p)
+            g = fraction_gcd(p.coeffs, _fraction_derivative(p.coeffs))
+            quotient, _ = _fraction_divmod(p.coeffs, g)
+            sf, factors = _yun_ints(f)
+            assert monic(_squarefree_ints(f)) == monic(sf) == monic(quotient)
+            assert fraction_yun(p.coeffs) == (monic(sf), [(monic(a), k) for a, k in factors])
+            product = [1]
+            for a, k in factors:
+                product = int_product([product] + [a] * k)
+            assert monic(product) == monic(p.coeffs)
 
     def test_cauchy_bound_contains_roots(self):
         p = poly(-6, 11, -6, 1)
@@ -193,7 +205,7 @@ class TestIsolation:
         while checked < 40:
             coeffs = [rng.randint(-9, 9) for _ in range(5)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
             p = Polynomial(coeffs)
-            if poly_gcd(p, p.derivative()).degree != 0:
+            if len(fraction_gcd(coeffs, _fraction_derivative(coeffs))) != 1:
                 continue  # sign scans cannot see even-multiplicity roots
             checked += 1
             expected = scan_sign_roots(coeffs, F(-8), F(8), denom=1024)
@@ -217,11 +229,11 @@ class TestIsolation:
         p = Polynomial(cs)
         if p.is_zero or p.degree == 0:
             return
-        sf = squarefree_part(p)
+        sf = Polynomial(fraction_yun(p.coeffs)[0])
         lo, hi = F(-20), F(20)
         if sf(lo) == 0 or sf(hi) == 0:
             return
-        assert count_distinct_roots(sf, lo, hi) == len(isolate_real_roots(p, lo, hi))
+        assert fraction_sturm_count(sf.coeffs, lo, hi) == len(isolate_real_roots(p, lo, hi))
 
 
 def int_product(factors):
@@ -336,8 +348,8 @@ class TestRationalRoots:
 
 
 class TestIntegerAlgebra:
-    """poly_gcd and Yun run on primitive integer vectors; the results must
-    equal Euclid and Yun over the rationals exactly."""
+    """The gcd and Yun run on primitive integer vectors; the results must
+    equal Euclid and Yun over the rationals up to a positive scale."""
 
     KINDS = ("rational", "irrational", "complex", "cubic")
 
@@ -382,15 +394,20 @@ class TestIntegerAlgebra:
         for _ in range(320):
             shared = [self.factor(rng) for _ in range(rng.randint(0, 2))]
             p, q = self.product(rng, shared, seen), self.product(rng, shared, seen)
-            g = poly_gcd(Polynomial(p), Polynomial(q))
-            assert list(g.coeffs) == fraction_gcd(p, q)
-            if Polynomial(p).is_zero:
+            f = _int_vector(Polynomial(p))
+            g = _primitive_gcd(f, _int_vector(Polynomial(q)))
+            assert monic(g) == fraction_gcd(p, q)
+            assert g == [] or g[-1] > 0 and gcd(*g) == 1
+            if not f:
                 continue
             sf, factors = fraction_yun(p)
-            assert list(squarefree_part(Polynomial(p)).coeffs) == sf
-            assert [
-                (list(f.coeffs), k) for f, k in squarefree_decomposition(Polynomial(p))
-            ] == factors
+            assert monic(_squarefree_ints(f)) == sf
+            if len(f) == 1:
+                assert factors == []
+                continue
+            yun_sf, yun_factors = _yun_ints(f)
+            assert monic(yun_sf) == sf
+            assert [(monic(a), k) for a, k in yun_factors] == factors
         kinds = ("zero", "constant", "negative_lead", "fraction", "squared", "cubed")
         for kind in kinds + self.KINDS:
             assert seen[kind] >= 20, (kind, seen)
@@ -419,9 +436,9 @@ class TestIntegerAlgebra:
             assert seen[kind] >= 10, (kind, seen)
 
     def test_gcd_with_zero(self):
-        assert poly_gcd(Polynomial(), Polynomial()) == Polynomial()
-        assert poly_gcd(poly(4, -2), Polynomial()) == poly(-2, 1)
-        assert poly_gcd(Polynomial(), poly(F(-3, 2))) == poly(1)
+        assert _primitive_gcd([], []) == [] == fraction_gcd([], [])
+        assert _primitive_gcd([4, -2], []) == [-2, 1] == fraction_gcd([4, -2], [])
+        assert _primitive_gcd([], _int_vector(poly(F(-3, 2)))) == [1] == fraction_gcd([], [F(-3, 2)])
 
 
 class TestRefinement:
@@ -466,8 +483,7 @@ class TestRefinement:
 
             return wrapper
 
-        for name in ("poly_gcd", "_primitive_gcd"):
-            monkeypatch.setattr(polynomial, name, counting(getattr(polynomial, name)))
+        monkeypatch.setattr(polynomial, "_primitive_gcd", counting(_primitive_gcd))
         refine_root(root, p, F(1, 10**9))
         assert calls == []
 

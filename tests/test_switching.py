@@ -4,6 +4,7 @@ import io
 import random
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from pathlib import Path
@@ -15,6 +16,8 @@ from oracles import (
     cheapest_at,
     cheapest_changes,
     cheapest_names,
+    fraction_gcd,
+    fraction_sturm_count,
     grid_mismatches,
 )
 import reswitch.cli as cli
@@ -25,6 +28,7 @@ from reswitch import (
     DivisionByZeroError,
     IdenticalTechniquesError,
     MenuAnalysis,
+    Polynomial,
     Segment,
     Technique,
     TechnologySet,
@@ -220,13 +224,13 @@ class TestDominance:
         # the pair's two cuts are distinct roots of its own difference, and
         # each boundary's tie is the pair the cut records: no gcd at all
         calls = []
-        original = switching.poly_gcd
+        original = switching._primitive_gcd
 
         def counting(a, b):
             calls.append((a, b))
             return original(a, b)
 
-        monkeypatch.setattr(switching, "poly_gcd", counting)
+        monkeypatch.setattr(switching, "_primitive_gcd", counting)
         ts = TechnologySet([Technique("a", (0, 8, 0)), Technique("b", (7, 0, 2))])
         dom = dominance_map(ts, F(0), F(2))
         assert [set(b.ties) for b in dom.boundaries] == [{"a", "b"}, {"a", "b"}]
@@ -235,14 +239,7 @@ class TestDominance:
     def test_even_tie_at_a_cut_joins_the_tie_set(self):
         # c - a = x (2x^2 - 8x + 7)^2 / 14 touches zero where a and b cross,
         # so c ties a there without crossing it; only a gcd test sees that
-        ts = TechnologySet(
-            [
-                Technique("a", (0, 8, 0, F(16, 7))),
-                Technique("b", (7, 0, 2, F(16, 7))),
-                Technique("c", (F(7, 2), 0, F(46, 7), 0, F(2, 7))),
-            ]
-        )
-        dom = dominance_map(ts, F(0), F(2))
+        dom = dominance_map(_even_tie_menu(), F(0), F(2))
         assert dom.winners == ("a", "b", "a")
         assert [t.pair for t in dom.tangencies] == [("a", "c"), ("a", "c")]
         assert [set(b.ties) for b in dom.boundaries] == [{"a", "b", "c"}] * 2
@@ -321,12 +318,48 @@ class TestDominance:
             dominance_map(TechnologySet(techs), F(0), F(3))
         assert seen["exact"] > 0 and seen["bracket"] > 0 and seen["merged"] > 0
 
+    def test_shared_root_test_matches_sturm_count_of_the_gcd(self):
+        # f and g share x^2 - m at multiplicity 1-3 each (or g lacks it), and
+        # each has a root of its own near sqrt(m); on every bracket of f, and
+        # on both halves of it, the test must say whether a Sturm count of
+        # the Fraction gcd finds a root there
+        rng = random.Random(1931)
+        seen = Counter()
+        for _ in range(80):
+            m = rng.choice((2, 3, 5, 6, 7, 10, 11))
+            n = rng.randint(3, 9)
+            shared = Polynomial([-m, 0, 1])
+            f = Polynomial([rng.randint(-4, 4), rng.choice((-3, 1, 2))])
+            f = f * Polynomial([-(m * n * n + 1), 0, n * n])  # roots +-sqrt(m + 1/n^2)
+            g = Polynomial([rng.choice((-2, 1, 5))]) * Polynomial([-(m * n + 1), 0, n])
+            j, k = rng.randint(1, 3), rng.randint(0, 3)
+            for _ in range(j):
+                f = f * shared
+            for _ in range(k):
+                g = g * shared
+            seen[f"f^{j}"] += 1
+            seen[f"g^{k}"] += 1
+            common = fraction_gcd(f.coeffs, g.coeffs)
+            fi, gi = polynomial._int_vector(f), polynomial._int_vector(g)
+            for iv in polynomial.isolate_real_roots(f, F(-10), F(10)):
+                if iv.is_exact:
+                    continue
+                m_iv = iv.midpoint
+                for a, b in ((iv.lo, iv.hi), (iv.lo, m_iv), (m_iv, iv.hi)):
+                    expected = fraction_sturm_count(common, a, b) if len(common) > 1 else 0
+                    assert expected in (0, 1)
+                    assert switching._shares_root(fi, gi, a, b) == (expected == 1)
+                    seen["shared" if expected else "apart"] += 1
+        for key in ("f^1", "f^2", "f^3", "g^0", "g^1", "g^2", "g^3"):
+            assert seen[key] >= 10, (key, seen)
+        assert seen["shared"] >= 150 and seen["apart"] >= 300, seen
+
     def test_exact_cut_meeting_a_bracket_takes_no_gcd(self, monkeypatch):
         # c - d = x (5 - 2x^2) crosses at x = sqrt(5/2), and its isolating
         # bracket holds a's and b's exact tie at x = 3/2; c and d never come
         # near the minimum, so the map is that of a and b alone
         calls = []
-        original = switching.poly_gcd
+        original = switching._primitive_gcd
 
         def counting(a, b):
             calls.append((a, b))
@@ -334,7 +367,7 @@ class TestDominance:
 
         c, d = Technique("c", (44, 39, 41)), Technique("d", (39, 39, 43))
         alone = dominance_map(samuelson_example(), F(0), F(3, 2))
-        monkeypatch.setattr(switching, "poly_gcd", counting)
+        monkeypatch.setattr(switching, "_primitive_gcd", counting)
         dom = dominance_map(TechnologySet([A, B, c, d]), F(0), F(3, 2))
         assert calls == []
         assert (dom.segments, dom.boundaries) == (alone.segments, alone.boundaries)
@@ -576,6 +609,33 @@ def _planted_exact_tie_menu(rng: random.Random) -> TechnologySet:
     return TechnologySet(techs, wage=F(3, 2))
 
 
+def _even_tie_menu() -> TechnologySet:
+    """a and b cross at x = 2 -+ sqrt(2)/2, where c - a has a double root."""
+    return TechnologySet(
+        [
+            Technique("a", (0, 8, 0, F(16, 7))),
+            Technique("b", (7, 0, 2, F(16, 7))),
+            Technique("c", (F(7, 2), 0, F(46, 7), 0, F(2, 7))),
+        ]
+    )
+
+
+def _merging_menu(seed: int) -> TechnologySet:
+    """16 random profiles, four of them midpoints of two others, which tie
+    three ways wherever their parents tie."""
+    rng = random.Random(seed)
+    horizon = rng.randint(3, 5)
+    profiles = []
+    while len(profiles) < 12:
+        prof = tuple(F(rng.randint(0, 8)) for _ in range(horizon))
+        if any(prof) and prof not in profiles:
+            profiles.append(prof)
+    for _ in range(4):
+        u, v = rng.sample(profiles[:12], 2)
+        profiles.append(tuple((p + q) / 2 for p, q in zip(u, v)))
+    return TechnologySet([Technique(f"t{k}", p) for k, p in enumerate(profiles)])
+
+
 def _approximations_off_switch_points(ts: TechnologySet, dom) -> list:
     """The irrational boundaries whose interest_approx is no switch point
     of two of their tied techniques."""
@@ -656,14 +716,13 @@ class TestSharedPairAnalysis:
         # the tie at x = 2 + sqrt(2) is a simple root: every bracket of this
         # pair is narrowed on the cost difference itself
         calls = []
-        original = polynomial.squarefree_part
+        original = polynomial._squarefree_ints
 
-        def counting(p):
-            calls.append(p)
-            return original(p)
+        def counting(f):
+            calls.append(f)
+            return original(f)
 
-        monkeypatch.setattr(polynomial, "squarefree_part", counting)
-        monkeypatch.setattr(switching, "squarefree_part", counting, raising=False)
+        monkeypatch.setattr(polynomial, "_squarefree_ints", counting)
         ts = TechnologySet([Technique("u", (0, 4, 0)), Technique("v", (2, 0, 1))])
         report = detect_reswitching(ts, F(0), F(3))
         (boundary,) = report.map.boundaries
@@ -727,6 +786,37 @@ class TestSharedPairAnalysis:
             assert dom == dominance_map(ts)
             boundaries += len(dom.boundaries)
         assert boundaries >= 100
+
+    @pytest.mark.parametrize(
+        "menu, hi",
+        [(_even_tie_menu, F(2)), (lambda: _merging_menu(8), F(3))],
+        ids=["even_tie", "merging_16"],
+    )
+    def test_tie_tests_build_no_sturm_chain(self, monkeypatch, menu, hi):
+        # with every pair record built first, the sweep's and the tie sets'
+        # shared-root tests run on integer gcds alone: Sturm chains only
+        # isolate
+        ts = menu()
+        analysis = MenuAnalysis(ts, F(0), hi)
+        for u, v in combinations(analysis.reps, 2):
+            analysis.pair_ties(u, v)
+        chains, gcds = [], []
+
+        def counting(calls, original):
+            def wrapper(*args):
+                calls.append(args)
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(polynomial, "sturm_chain", counting(chains, polynomial.sturm_chain))
+        monkeypatch.setattr(
+            switching, "_primitive_gcd", counting(gcds, switching._primitive_gcd)
+        )
+        dom = dominance_map(ts, F(0), hi, analysis=analysis)
+        assert chains == [] and gcds
+        # a bracketed boundary where three or more profiles tie
+        assert any(b.interest_exact is None and len(b.ties) > 2 for b in dom.boundaries)
 
     def test_analysis_reads_match_standalone_calls(self):
         placements, wages, irrational = [], set(), 0
