@@ -27,11 +27,11 @@ The isolation routine combines three exact ingredients:
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
 case lo == hi). One routine, `_narrow`, bisects every root bracket, here and
-in `switching`, on a primitive integer vector: p's own at an odd-multiplicity
-root; a square-free part is computed only to bisect an even-multiplicity root
+in `switching`, on an integer vector: p's own at an odd-multiplicity root; a
+square-free part is computed only to bisect an even-multiplicity root
 (`_bisection_poly`). Each midpoint's sign is read by homogenized Horner, as
 den**n * f(num/den) with den > 0, so every bisection step takes the same half
-as it would over the rationals; callers convert a polynomial once per bracket.
+as it would over the rationals; `refine_root` converts its polynomial once.
 """
 
 from __future__ import annotations
@@ -200,7 +200,8 @@ def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _squarefree_ints(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for a nonzero primitive integer vector f."""
+    """f / gcd(f, f') for a nonzero integer vector f; the gcd is primitive,
+    so the quotient is integral."""
     if len(f) == 1:
         return f
     return _exact_quotient(f, _primitive_gcd(f, _derivative_ints(f)))
@@ -260,11 +261,15 @@ def sign_variations(values: Sequence[Fraction]) -> int:
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
     """Every real root r of p satisfies |r| < bound."""
-    if p.is_zero or p.degree == 0:
+    return _cauchy_bound(p.coeffs)
+
+
+def _cauchy_bound(coeffs: Sequence) -> Fraction:
+    """`cauchy_root_bound` of the coefficients, constant term first and
+    the last one nonzero, as integers or Fractions."""
+    if len(coeffs) < 2:
         return Fraction(1)
-    lead = abs(p.coeffs[-1])
-    top = max(abs(c) for c in p.coeffs[:-1])
-    return 1 + top / lead
+    return 1 + Fraction(max(abs(c) for c in coeffs[:-1])) / abs(coeffs[-1])
 
 
 def _divisors(n: int) -> list[int]:
@@ -389,13 +394,12 @@ def _changes_sign(f: Sequence[int], a: Fraction, b: Fraction) -> bool:
     return (fa < 0 < fb) or (fb < 0 < fa)
 
 
-def _bisection_poly(p: Polynomial, a: Fraction, b: Fraction) -> list[int]:
-    """The integer vector to bisect a root bracket of p on: p's own when p
-    changes sign across [a, b], else (an even root) its square-free part's,
+def _bisection_poly(f: list[int], a: Fraction, b: Fraction) -> list[int]:
+    """The integer vector to bisect a root bracket of f on: f itself when it
+    changes sign across [a, b], else (an even root) its square-free part,
     which always does."""
-    if p.is_zero:
+    if not f:
         raise ZeroPolynomialError("cannot bisect on the zero polynomial")
-    f = _int_vector(p)
     if _changes_sign(f, a, b):
         return f
     sf = _squarefree_ints(f)
@@ -466,7 +470,7 @@ def _isolate(
 
     rational, quotient = _rational_roots_of_squarefree(sf)
 
-    bound = hi if hi is not None else max(lo + 1, cauchy_root_bound(Polynomial(quotient)))
+    bound = hi if hi is not None else max(lo + 1, _cauchy_bound(quotient))
     brackets = _isolate_irrational(quotient, lo, bound, rational)
 
     def parity_exact(r: Fraction) -> str:
@@ -525,6 +529,6 @@ def refine_root(interval: RootInterval, p: Polynomial, tol: Fraction) -> Fractio
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    s = _bisection_poly(p, interval.lo, interval.hi)
+    s = _bisection_poly(_int_vector(p), interval.lo, interval.hi)
     a, b = _narrow(s, interval.lo, interval.hi, lambda a, b: b - a >= tol)
     return (a + b) / 2

@@ -13,21 +13,24 @@ checked domain, the representatives of its distinct profiles, one integer
 cost row per representative (its unit-wage cost polynomial, constant term
 first, times the common denominator of all labor inputs; every row has the
 menu's degree, so `polynomial._scaled_value` puts all of them at one scale
-at any rational point), and a `_PairTies` record (the difference, its roots
-and its in-domain ties) for each representative pair, isolated the first
-time the pair is asked for. Pair differences, gap winners, tie sets and tie
-costs all read the rows: a difference is a positive multiple of the cost
-difference, which no root certificate depends on, and each tie cost is one
-exact `Fraction` of a row's scaled value. A pair of clones, or a pair asked
-for in the other orientation, reads the same record. The analysis lives as
-long as its caller keeps it: `dominance_map` and `detect_reswitching` build
-a fresh one when given none, `reswitch analyze` builds one per command and
-hands it to every step that reads a pair, and no module-level state or
-returned object refers to an analysis or a record, so nothing outlives the
-call.
-Brackets are narrowed by `polynomial._narrow` on primitive integer vectors,
-the tie polynomial's own for odd ties, each converted once per bracket or
-cut.
+at any rational point), and a `_PairTies` record for each representative
+pair, isolated the first time the pair is asked for. A record holds the
+difference of the pair's two rows, an integer vector that is a positive
+multiple of the cost difference (no root certificate depends on the
+multiple), and its certified roots in the domain. A pair of clones, or a
+pair asked for in the other orientation, reads the same record. Gap
+winners, tie sets and tie costs read the rows: each tie cost is one exact
+`Fraction` of a row's scaled value (`MenuAnalysis._tie_cost`).
+`pairwise_switch_points` and `pairwise_tangencies` read the analysis of a
+two-technique menu. The analysis lives as long as its caller keeps it:
+`dominance_map` and `detect_reswitching` build a fresh one when given none,
+`reswitch analyze` builds one per command and hands it to every step that
+reads a pair, and no module-level state or returned object refers to an
+analysis or a record, so nothing outlives the call.
+Integer vectors are the only polynomials this module computes with: a
+`Polynomial` is built only to call `isolate_real_roots` or `refine_root`,
+and brackets are narrowed by `polynomial._narrow` on the vectors themselves
+(on the square-free part for an even tie).
 
 Each candidate boundary (`_Cut`) records the technique pairs whose odd tie
 it certifies, on the bracket and difference of the first of them. One sweep
@@ -48,7 +51,6 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import lcm
-from operator import sub
 from typing import Optional, Sequence
 
 from .errors import DivisionByZeroError, DomainError, IdenticalTechniquesError
@@ -58,14 +60,15 @@ from .polynomial import (
     Polynomial,
     RootInterval,
     _bisection_poly,
+    _cauchy_bound,
     _changes_sign,
-    _int_vector,
+    _derivative_ints,
     _narrow,
     _primitive_gcd,
     _scaled_value,
     _sign_at,
     _squarefree_ints,
-    cauchy_root_bound,
+    _subtract_ints,
     isolate_real_roots,
     refine_root,
 )
@@ -156,43 +159,21 @@ def _pad_pair(a: Technique, b: Technique) -> tuple[Technique, Technique]:
     return a.padded(horizon), b.padded(horizon)
 
 
-def _all_real_roots(p: Polynomial) -> list[RootInterval]:
-    bound = cauchy_root_bound(p) + 1
-    return isolate_real_roots(p, -bound, bound)
-
-
 def _clip_bracket(
-    d: Polynomial, iv: RootInterval, xlo: Fraction, xhi: Fraction
+    f: list[int], iv: RootInterval, xlo: Fraction, xhi: Fraction
 ) -> Optional[RootInterval]:
-    """Narrow a root bracket of d until fully inside or outside [xlo, xhi];
-    None when it ends up outside."""
+    """Narrow a root bracket of the integer vector f until fully inside or
+    outside [xlo, xhi]; None when it ends up outside."""
 
     def straddles(a: Fraction, b: Fraction) -> bool:
         return not (b < xlo or a > xhi or (xlo <= a and b <= xhi))
 
     lo_b, hi_b = iv.lo, iv.hi
     if straddles(lo_b, hi_b):
-        f = _bisection_poly(d, lo_b, hi_b)
-        lo_b, hi_b = _narrow(f, lo_b, hi_b, straddles)
+        lo_b, hi_b = _narrow(_bisection_poly(f, lo_b, hi_b), lo_b, hi_b, straddles)
     if hi_b < xlo or lo_b > xhi:
         return None
     return RootInterval(lo_b, hi_b, iv.parity)
-
-
-def _gap_sample(full: Sequence[RootInterval], k: int) -> Fraction:
-    """A rational strictly between the (k-1)-th and k-th real root; k = 0
-    reaches below the first root, k = len(full) above the last."""
-    if k == 0:
-        return full[0].lo - 1
-    if k == len(full):
-        return full[-1].hi + 1
-    right_edge = full[k - 1].hi
-    left_edge = full[k].lo
-    if right_edge < left_edge:
-        return (right_edge + left_edge) / 2
-    # touching brackets: both roots lie strictly beyond the shared edge
-    assert right_edge == left_edge
-    return right_edge
 
 
 def _cost_rows(techs: Sequence[Technique]) -> tuple[list[list[int]], int]:
@@ -208,84 +189,50 @@ def _cost_rows(techs: Sequence[Technique]) -> tuple[list[list[int]], int]:
     return rows, denom
 
 
-def _difference(a: Technique, b: Technique) -> Polynomial:
-    """A positive multiple of cost_a - cost_b at unit wage."""
-    (row_a, row_b), _ = _cost_rows(_pad_pair(a, b))
-    return Polynomial(map(sub, row_a, row_b))
-
-
 @dataclass(frozen=True)
 class _PairTies:
-    """One pair's tie structure: d, a positive multiple of the cost
-    difference cost_a - cost_b at unit wage, every real root of d, and the
-    (index, clipped root) pairs lying inside the closed interest domain."""
+    """One pair's tie structure: f, the integer vector of a positive
+    multiple of the cost difference cost_a - cost_b at unit wage, and the
+    roots of f inside the closed interest domain, in x = 1 + i, each
+    bracket clipped to the domain."""
 
-    d: Polynomial
-    full: tuple[RootInterval, ...]
-    in_domain: tuple[tuple[int, RootInterval], ...]
+    f: list[int]
+    in_domain: tuple[RootInterval, ...]
 
     def approx(self, iv: RootInterval) -> Fraction:
         """The root's x: exact, or refined to within APPROX_TOL."""
-        return iv.lo if iv.is_exact else refine_root(iv, self.d, APPROX_TOL)
+        return iv.lo if iv.is_exact else refine_root(iv, Polynomial(self.f), APPROX_TOL)
 
 
-def _pair_ties(
-    a: Technique, b: Technique, d: Polynomial, lo: Fraction, hi: Fraction
-) -> _PairTies:
-    """The tie structure of a and b; d is a positive multiple of their
-    unit-wage cost difference."""
-    if d.is_zero:
-        raise IdenticalTechniquesError(
-            f"techniques {a.name!r} and {b.name!r} have identical costs everywhere"
-        )
+def _pair_ties(f: list[int], lo: Fraction, hi: Fraction) -> _PairTies:
+    """The tie record of f, the nonzero difference of two cost rows."""
     xlo, xhi = 1 + lo, 1 + hi
-    full = _all_real_roots(d)
-    in_domain: list[tuple[int, RootInterval]] = []
-    for k, iv in enumerate(full):
+    bound = _cauchy_bound(f) + 1
+    in_domain: list[RootInterval] = []
+    for iv in isolate_real_roots(Polynomial(f), -bound, bound):
         if iv.is_exact:
             if xlo <= iv.lo <= xhi:
-                in_domain.append((k, iv))
+                in_domain.append(iv)
         else:
-            clipped = _clip_bracket(d, iv, xlo, xhi)
+            clipped = _clip_bracket(f, iv, xlo, xhi)
             if clipped is not None:
-                in_domain.append((k, clipped))
-    return _PairTies(d, tuple(full), tuple(in_domain))
+                in_domain.append(clipped)
+    return _PairTies(f, tuple(in_domain))
+
+
+def _sign_above(f: list[int], iv: RootInterval) -> int:
+    """A value with the sign of f just above its root certified by iv: at
+    the bracket's upper end, or at an exact root that of the first
+    derivative of f not vanishing there."""
+    if not iv.is_exact:
+        return _sign_at(f, iv.hi)
+    while (sign := _sign_at(f, iv.lo)) == 0:
+        f = _derivative_ints(f)
+    return sign
 
 
 def _to_interest(iv: RootInterval) -> RootInterval:
     return RootInterval(iv.lo - 1, iv.hi - 1, iv.parity)
-
-
-def _switch_points(
-    a: Technique, b: Technique, ties: _PairTies, wage: Fraction
-) -> list[SwitchPoint]:
-    """The odd ties of a and b, read from the record of d, a positive
-    multiple of cost_a - cost_b, with tie costs at the given wage."""
-    cost_a = a.cost_polynomial(wage)
-    f = _int_vector(ties.d)
-    out = []
-    for k, iv in ties.in_domain:
-        if iv.parity != ODD:
-            continue
-        below = _sign_at(f, _gap_sample(ties.full, k))
-        above = _sign_at(f, _gap_sample(ties.full, k + 1))
-        assert below != 0 and above != 0 and (below < 0) != (above < 0)
-        cheaper_below = a.name if below < 0 else b.name
-        cheaper_above = b.name if below < 0 else a.name
-        approx_x = ties.approx(iv)
-        tie_cost = cost_a(approx_x)
-        out.append(
-            SwitchPoint(
-                certificate=_to_interest(iv),
-                interest_exact=iv.lo - 1 if iv.is_exact else None,
-                interest_approx=approx_x - 1,
-                cheaper_below=cheaper_below,
-                cheaper_above=cheaper_above,
-                tie_cost_exact=tie_cost if iv.is_exact else None,
-                tie_cost_approx=tie_cost,
-            )
-        )
-    return out
 
 
 def pairwise_switch_points(
@@ -298,16 +245,19 @@ def pairwise_switch_points(
     """All odd-multiplicity tie points of the two cost curves in [lo, hi].
 
     Switch locations do not depend on the wage (the cost difference is
-    homogeneous in it); tie costs are reported at the given wage.
+    homogeneous in it); tie costs are reported at the given wage. The pair
+    is read as the two-technique menu `MenuAnalysis(TechnologySet([a, b],
+    wage), lo, hi)`: a wage that is not positive, or two techniques of one
+    name, raise ModelFormatError, a bad domain DomainError, and two
+    techniques of equal cost everywhere IdenticalTechniquesError.
     """
-    lo, hi = _check_domain(lo, hi)
-    wage = Fraction(wage)
-    return _switch_points(a, b, _pair_ties(a, b, _difference(a, b), lo, hi), wage)
+    analysis = MenuAnalysis(TechnologySet([a, b], wage), lo, hi)
+    return analysis.switch_points(*analysis.ts.techniques)
 
 
 def _tangencies(a: Technique, b: Technique, ties: _PairTies) -> list[Tangency]:
     out = []
-    for _, iv in ties.in_domain:
+    for iv in ties.in_domain:
         if iv.parity == ODD:
             continue
         out.append(
@@ -324,9 +274,12 @@ def _tangencies(a: Technique, b: Technique, ties: _PairTies) -> list[Tangency]:
 def pairwise_tangencies(
     a: Technique, b: Technique, lo: Fraction = DEFAULT_LO, hi: Fraction = DEFAULT_HI
 ) -> list[Tangency]:
-    """Even-multiplicity tie points of the pair in [lo, hi]."""
-    lo, hi = _check_domain(lo, hi)
-    return _tangencies(a, b, _pair_ties(a, b, _difference(a, b), lo, hi))
+    """Even-multiplicity tie points of the pair in [lo, hi], read as the
+    two-technique menu `MenuAnalysis(TechnologySet([a, b]), lo, hi)`, with
+    the errors of `pairwise_switch_points`."""
+    analysis = MenuAnalysis(TechnologySet([a, b]), lo, hi)
+    a, b = analysis.ts.techniques
+    return _tangencies(a, b, analysis.pair_ties(a, b))
 
 
 class MenuAnalysis:
@@ -338,7 +291,8 @@ class MenuAnalysis:
     representative pair the first time it is asked for. Clones read their
     representative's record, and the other orientation reads it with the
     difference negated: isolation, clipping and bisection make the same
-    choices for -d as for d, so the roots and brackets are the same. No
+    choices for -f as for f, so the roots and brackets are the same. Switch
+    points and tie costs are read from the records and rows alone. No
     object it returns refers to it.
     """
 
@@ -361,7 +315,7 @@ class MenuAnalysis:
         self._ties: dict[tuple[str, str], _PairTies] = {}
 
     def pair_ties(self, a: Technique, b: Technique) -> _PairTies:
-        """The tie record of d = cost_a - cost_b for two menu techniques."""
+        """The tie record of f = cost_a - cost_b for two menu techniques."""
         for tech in (a, b):
             if self._members.get(tech.name) != tech:
                 raise ValueError(f"technique {tech.name!r} is not on this menu")
@@ -374,36 +328,63 @@ class MenuAnalysis:
         key = (rb, ra) if flip else (ra, rb)
         ties = self._ties.get(key)
         if ties is None:
-            ties = _pair_ties(a, b, self.difference(*key), self.lo, self.hi)
+            ties = _pair_ties(self.difference(*key), self.lo, self.hi)
             self._ties[key] = ties
-        return _PairTies(-ties.d, ties.full, ties.in_domain) if flip else ties
+        return _PairTies([-c for c in ties.f], ties.in_domain) if flip else ties
 
-    def difference(self, u: str, v: str) -> Polynomial:
-        """A positive multiple of cost_u - cost_v, for two representatives."""
-        return Polynomial(map(sub, self.rows[u], self.rows[v]))
+    def difference(self, u: str, v: str) -> list[int]:
+        """A positive multiple of cost_u - cost_v, for two representatives,
+        as an integer vector."""
+        return _subtract_ints(self.rows[u], self.rows[v])
+
+    def _tie_cost(self, name: str, x: Fraction) -> Fraction:
+        """The cost of the named menu technique at x = 1 + i, at the menu's
+        wage: its row's scaled value over the scale at x."""
+        value = _scaled_value(self.rows[self.rep_of[name]], x.numerator, x.denominator)
+        return self.ts.wage * Fraction(value, x.denominator**self.ts.horizon * self.denom)
 
     def switch_points(self, a: Technique, b: Technique) -> list[SwitchPoint]:
         """`pairwise_switch_points(a, b, lo, hi, ts.wage)`, read from the
-        shared record."""
-        return _switch_points(a, b, self.pair_ties(a, b), self.ts.wage)
+        shared record: the sides of a switch point from the sign of the
+        difference just above it (the root's multiplicity is odd, so the
+        sign below is the opposite), its tie cost from a's row."""
+        ties = self.pair_ties(a, b)
+        out = []
+        for iv in ties.in_domain:
+            if iv.parity != ODD:
+                continue
+            a_dearer_above = _sign_above(ties.f, iv) > 0
+            approx_x = ties.approx(iv)
+            tie_cost = self._tie_cost(a.name, approx_x)
+            out.append(
+                SwitchPoint(
+                    certificate=_to_interest(iv),
+                    interest_exact=iv.lo - 1 if iv.is_exact else None,
+                    interest_approx=approx_x - 1,
+                    cheaper_below=a.name if a_dearer_above else b.name,
+                    cheaper_above=b.name if a_dearer_above else a.name,
+                    tie_cost_exact=tie_cost if iv.is_exact else None,
+                    tie_cost_approx=tie_cost,
+                )
+            )
+        return out
 
 
 class _Cut:
     """A candidate dominance boundary: one certified tie point in x-space, a
-    root of odd multiplicity of poly, the cost difference of the cut's first
-    pair, so poly changes sign across the bracket. An exact cut has
-    lo == hi == exact.
+    root of odd multiplicity of the integer vector f, the cost difference of
+    the cut's first pair, so f changes sign across the bracket. An exact cut
+    has lo == hi == exact.
 
     pairs holds the representative pairs (as frozensets of two names) whose
     odd ties the cut certifies; a merge takes the union.
     """
 
-    __slots__ = ("poly", "ints", "exact", "lo", "hi", "pairs")
+    __slots__ = ("f", "exact", "lo", "hi", "pairs")
 
-    def __init__(self, poly: Polynomial, lo: Fraction, hi: Fraction, pairs: set):
-        self.poly = poly  # vanishes at the point; refined at a boundary
+    def __init__(self, f: list[int], lo: Fraction, hi: Fraction, pairs: set):
+        self.f = f
         self.exact = lo if lo == hi else None
-        self.ints = None if self.exact is not None else _int_vector(poly)  # bisected
         self.lo = lo
         self.hi = hi
         self.pairs = pairs
@@ -411,7 +392,7 @@ class _Cut:
     def narrow(self, more) -> None:
         """Bisect the bracket while more(lo, hi) holds; exact cuts stay put."""
         if self.exact is None:
-            self.lo, self.hi = _narrow(self.ints, self.lo, self.hi, more)
+            self.lo, self.hi = _narrow(self.f, self.lo, self.hi, more)
 
 
 def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
@@ -439,7 +420,7 @@ def _merge_or_separate(cuts: list[_Cut]) -> list[_Cut]:
             same = c.exact == k.exact
         else:
             same = not k.pairs & c.pairs and _shares_root(
-                c.ints, k.ints, c.lo, min(k.hi, c.hi)
+                c.f, k.f, c.lo, min(k.hi, c.hi)
             )
         if same:
             if serial < k_serial:
@@ -493,7 +474,6 @@ def dominance_map(
     lo, hi = analysis.lo, analysis.hi
     xlo, xhi = 1 + lo, 1 + hi
     reps, aliases = analysis.reps, analysis.aliases
-    wage = ts.wage
 
     if len(reps) == 1:
         seg = Segment(lo, hi, reps[0].name, tuple(aliases[reps[0].name]))
@@ -501,20 +481,18 @@ def dominance_map(
 
     # gap winners and tie sets compare scaled row values, which share one
     # positive scale at a point (the wage is positive too, so unit costs
-    # have the same argmin); a tie cost is the wage times one row value
-    # over that scale
-    rows, denom, rep_of = analysis.rows, analysis.denom, analysis.rep_of
-    degree = ts.horizon
+    # have the same argmin)
+    rows, rep_of = analysis.rows, analysis.rep_of
 
     cuts: list[_Cut] = []
     tangencies: list[Tangency] = []
     for u, v in combinations(reps, 2):
         ties = analysis.pair_ties(u, v)
-        for _, iv in ties.in_domain:
+        for iv in ties.in_domain:
             if iv.parity != ODD:
                 continue
             pair = frozenset((u.name, v.name))
-            cuts.append(_Cut(ties.d, iv.lo, iv.hi, {pair}))
+            cuts.append(_Cut(ties.f, iv.lo, iv.hi, {pair}))
         tangencies.extend(_tangencies(u, v, ties))
     tangencies.sort(key=lambda t: t.interest_approx)
     cuts = _merge_or_separate(cuts)
@@ -526,9 +504,6 @@ def dominance_map(
 
     def scaled_costs(x: Fraction) -> list[int]:
         return [_scaled_value(rows[r.name], x.numerator, x.denominator) for r in reps]
-
-    def tie_cost(scaled: int, x: Fraction) -> Fraction:
-        return wage * Fraction(scaled, x.denominator**degree * denom)
 
     def min_owners(x: Fraction) -> list[Technique]:
         values = scaled_costs(x)
@@ -568,7 +543,7 @@ def dominance_map(
             values = scaled_costs(x)
             best = min(values)  # the anchor's cost
             ties = named({r.name for r, c in zip(reps, values) if c == best})
-            cost = tie_cost(best, x)
+            cost = analysis._tie_cost(anchor.name, x)
             cert = RootInterval(x - 1, x - 1, ODD)
             return Boundary(x - 1, x - 1, cert, ties, cost, cost)
         ties = named(
@@ -578,14 +553,13 @@ def dominance_map(
                 if r.name == anchor.name
                 or frozenset((anchor.name, r.name)) in cut.pairs
                 or _shares_root(
-                    cut.ints, _int_vector(analysis.difference(anchor.name, r.name)), cut.lo, cut.hi
+                    cut.f, analysis.difference(anchor.name, r.name), cut.lo, cut.hi
                 )
             }
         )
-        approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), cut.poly, APPROX_TOL)
+        approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), Polynomial(cut.f), APPROX_TOL)
         cert = RootInterval(cut.lo - 1, cut.hi - 1, ODD)
-        value = _scaled_value(rows[anchor.name], approx_x.numerator, approx_x.denominator)
-        cost = tie_cost(value, approx_x)
+        cost = analysis._tie_cost(anchor.name, approx_x)
         return Boundary(None, approx_x - 1, cert, ties, None, cost)
 
     segments: list[Segment] = []

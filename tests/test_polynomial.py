@@ -551,7 +551,7 @@ class TestIntegerBisection:
                 odd = p(lo) * p(hi) < 0
                 s = coeffs if odd else sf
                 seen["odd" if odd else "even"] += 1
-                f = polynomial._bisection_poly(p, lo, hi)
+                f = polynomial._bisection_poly(_int_vector(p), lo, hi)
 
                 tol = F(1, rng.choice((10**3, 10**9, 2**40)))
                 a, b = fraction_narrow(s, lo, hi, lambda a, b: b - a >= tol)
@@ -578,7 +578,7 @@ class TestIntegerBisection:
                 inside = not (b < xlo or a > xhi)
                 seen["clip_kept" if inside else "clip_dropped"] += 1
                 expected = RootInterval(a, b, iv.parity) if inside else None
-                assert _clip_bracket(p, iv, xlo, xhi) == expected
+                assert _clip_bracket(_int_vector(p), iv, xlo, xhi) == expected
 
             # unit grid brackets, some of them holding a dyadic root that a
             # midpoint hits exactly

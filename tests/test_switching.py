@@ -28,6 +28,7 @@ from reswitch import (
     DivisionByZeroError,
     IdenticalTechniquesError,
     MenuAnalysis,
+    ModelFormatError,
     Polynomial,
     Segment,
     Technique,
@@ -62,6 +63,38 @@ class TestPairwiseSwitchPoints:
     def test_identical_techniques_error(self):
         with pytest.raises(IdenticalTechniquesError):
             pairwise_switch_points(A, Technique("copy", (0, 7, 0)))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: pairwise_switch_points(A, B, wage=-1), "wage must be positive"),
+            (lambda: pairwise_switch_points(A, B, wage=0), "wage must be positive"),
+            (lambda: pairwise_switch_points(A, Technique("a", (6, 0, 2))), "unique"),
+            (lambda: pairwise_tangencies(A, Technique("a", (6, 0, 2))), "unique"),
+        ],
+        ids=["negative_wage", "zero_wage", "one_name", "tangencies_one_name"],
+    )
+    def test_bad_input_rejected_as_on_a_menu(self, call, message):
+        # a pair is read as a two-technique menu, so the menu's checks hold
+        with pytest.raises(ModelFormatError, match=message):
+            call()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(F(0), F(2)), (F(1, 2), F(2)), (F(-1, 2), F(1, 2))],
+        ids=["inside", "lower_edge", "upper_edge"],
+    )
+    def test_triple_tie_sides_match_costs(self, lo, hi):
+        # cost_u - cost_v = x (2x - 3)^3: an exact tie of multiplicity 3 at 50%
+        u, v = Technique("u", (0, 54, 0, 8)), Technique("v", (27, 0, 36, 0))
+        half, step = F(1, 2), F(1, 100)
+        for a, b in ((u, v), (v, u)):
+            (point,) = pairwise_switch_points(a, b, lo, hi)
+            assert point.interest_exact == half and point.certificate.parity == "odd"
+            below = min((a, b), key=lambda t: t.cost_at(F(1), half - step))
+            above = min((a, b), key=lambda t: t.cost_at(F(1), half + step))
+            assert (point.cheaper_below, point.cheaper_above) == (below.name, above.name)
+            assert point.tie_cost_exact == a.cost_at(F(1), half) == b.cost_at(F(1), half)
 
     def test_wage_invariance(self):
         for wage in (F(1), F(3), F(2, 7)):
@@ -856,14 +889,70 @@ class TestSharedPairAnalysis:
         calls = self._count_isolations(monkeypatch)
         analysis = MenuAnalysis(ts)
         a, b, c = ts.techniques
-        assert analysis.pair_ties(b, c).d == -analysis.pair_ties(a, b).d
-        assert analysis.pair_ties(b, c).full == analysis.pair_ties(c, b).full
+        assert analysis.pair_ties(b, c).f == [-v for v in analysis.pair_ties(a, b).f]
+        assert analysis.pair_ties(b, c).in_domain == analysis.pair_ties(c, b).in_domain
         (low, high) = analysis.switch_points(b, c)
         assert (low.cheaper_below, high.cheaper_below) == ("c", "b")
         assert low.certificate == analysis.switch_points(a, b)[0].certificate
         assert len(calls) == 1
         with pytest.raises(IdenticalTechniquesError, match="'c' and 'a'"):
             analysis.switch_points(c, a)
+
+    def test_switch_points_evaluate_no_polynomial(self, monkeypatch):
+        # with every pair record built first, a switch point's sides come
+        # from the record's integer vector and its tie cost from a row
+        cfg = harness.GeneratorConfig(seed=7, trials=200)
+        evaluations, cost_polynomials = [], []
+
+        def counting(calls, original):
+            def wrapper(*args):
+                calls.append(args)
+                return original(*args)
+
+            return wrapper
+
+        points = 0
+        for k in range(200):
+            ts = harness.generate_technology(cfg, k)
+            analysis = MenuAnalysis(ts)
+            pairs = list(combinations(ts.techniques, 2))
+            for u, v in pairs:
+                analysis.pair_ties(u, v)
+            with monkeypatch.context() as m:
+                m.setattr(
+                    polynomial.Polynomial,
+                    "__call__",
+                    counting(evaluations, polynomial.Polynomial.__call__),
+                )
+                m.setattr(
+                    Technique, "cost_polynomial", counting(cost_polynomials, Technique.cost_polynomial)
+                )
+                points += sum(len(analysis.switch_points(u, v)) for u, v in pairs)
+        assert evaluations == [] and cost_polynomials == []
+        assert points >= 150
+
+    def test_tie_costs_match_cost_at(self):
+        # an exact switch point ties in exact cost; a bracket's tie cost is
+        # the first technique's cost at the approximation
+        wages, kinds = set(), Counter()
+        for seed in range(60):
+            ts, _ = _menu_with_clones(random.Random(seed))
+            wages.add(ts.wage)
+            analysis = MenuAnalysis(ts)
+            for u, v in permutations(ts.techniques, 2):
+                if u.labor == v.labor:
+                    continue
+                for sp in analysis.switch_points(u, v):
+                    kinds["exact" if sp.is_exact else "bracket"] += 1
+                    if sp.is_exact:
+                        i = sp.interest_exact
+                        assert sp.tie_cost_exact == sp.tie_cost_approx
+                        assert sp.tie_cost_exact == u.cost_at(ts.wage, i) == v.cost_at(ts.wage, i)
+                    else:
+                        assert sp.tie_cost_exact is None
+                        assert sp.tie_cost_approx == u.cost_at(ts.wage, sp.interest_approx)
+        assert wages == {F(1), F(5, 3)}
+        assert kinds["exact"] >= 60 and kinds["bracket"] >= 100, kinds
 
     def test_analysis_for_another_menu_or_domain_rejected(self):
         ts = samuelson_example()
