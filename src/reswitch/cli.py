@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -530,9 +531,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: Sequence[str]) -> list[str]:
+    """`--domain -20:50` as `--domain=-20:50`, after any long option.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain negative number, which leaves a flag such as `--domain`, `--rates`
+    or `--grid` without its value. No option or positional argument of this
+    parser starts with '-' and a digit or '.', so such a token is the value.
+    """
+    out: list[str] = []
+    for token in argv:
+        last = out[-1] if out else ""
+        if last.startswith("--") and "=" not in last and re.match(r"-[0-9.]", token):
+            out[-1] = f"{last}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     if args.command == "falsify" and args.trials < 1:
         parser.error("--trials must be at least 1")
     precision = getattr(args, "precision", None)

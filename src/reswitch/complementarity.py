@@ -108,7 +108,7 @@ def _analytic_two_technique_witness(
         # lighter technique is heavier, placed so `heavy` strictly wins.
         m_star = min(range(len(delta)), key=lambda idx: delta[idx])
         rest = sum(d for idx, d in enumerate(delta) if idx != m_star)
-        scale = max(Fraction(1), Fraction(rest) / -delta[m_star]) + 1
+        scale = max(Fraction(1), rest / -delta[m_star]) + 1
         base = [Fraction(1)] * ts.horizon
         base[m_star] = scale
         gap = sum(p * d for p, d in zip(base, delta))

@@ -9,7 +9,12 @@ price, and plotting the technique cost ratio against it collapses the
 multi-valued interest-rate picture into a single-valued, strictly monotone
 curve with at most one switch. `verify_single_switch` certifies that collapse
 by an exact polynomial identity alone; it evaluates no grid, and it isolates
-the crossing's interest preimages only when a caller reads them.
+the crossing's interest preimages only when a caller reads them. Its
+preconditions (disjoint supports, the group equal to one of them, a single
+complement lag) already imply the identity; it is still checked, once, on
+the labor coefficient tuples, since the verdict rests on it. The checks read
+the group once, through the same helpers as `leontief_sono_check`,
+`scalar_complement_lag` and the reference bundle.
 
 Naming note: the aggregate combines the post-factum wage (wage compounded to
 period end) with rentals; the ante-factum wage never enters it directly.
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -109,8 +114,30 @@ def _validate_group(ts: TechnologySet, group: FactorGroup) -> tuple[int, ...]:
     return lags
 
 
-def _group_subvector(tech: Technique, lags: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(tech.lag(t) for t in lags)
+def _group_subvectors(ts: TechnologySet, lags: Sequence[int]) -> list[tuple[Fraction, ...]]:
+    """Each technique's inputs at the validated group lags, in menu order."""
+    return [tuple(tech.labor[t - 1] for t in lags) for tech in ts.techniques]
+
+
+def _proportional(subs: Sequence[tuple[Fraction, ...]]) -> bool:
+    """The Leontief-Sono condition on group sub-vectors: every sub-vector
+    that is not all zero is proportional to every other one."""
+    nonzero = [sub for sub in subs if any(sub)]  # labor is nonnegative
+    if len(nonzero) <= 1:
+        return True
+    ref = nonzero[0]
+    for vec in nonzero[1:]:
+        for i in range(len(ref)):
+            for j in range(i + 1, len(ref)):
+                if ref[i] * vec[j] != ref[j] * vec[i]:
+                    return False
+    return True
+
+
+def _owner_index(subs: Sequence[tuple[Fraction, ...]]) -> int:
+    """The index of the reference technique: the first one that uses the
+    group, or the last one when none does."""
+    return next((k for k, sub in enumerate(subs) if any(sub)), len(subs) - 1)
 
 
 def leontief_sono_check(ts: TechnologySet, group: FactorGroup) -> bool:
@@ -120,36 +147,22 @@ def leontief_sono_check(ts: TechnologySet, group: FactorGroup) -> bool:
     discrete-technology condition under which a group price aggregate is
     well defined.
     """
-    lags = _validate_group(ts, group)
-    nonzero = [
-        _group_subvector(t, lags)
-        for t in ts.techniques
-        if any(v > 0 for v in _group_subvector(t, lags))
-    ]
-    if len(nonzero) <= 1:
-        return True
-    ref = nonzero[0]
-    for vec in nonzero[1:]:
-        for i in range(len(lags)):
-            for j in range(i + 1, len(lags)):
-                if ref[i] * vec[j] != ref[j] * vec[i]:
-                    return False
-    return True
+    return _proportional(_group_subvectors(ts, _validate_group(ts, group)))
 
 
 def _reference_bundle(ts: TechnologySet, group: FactorGroup) -> dict[int, Fraction]:
     """The group's common proportion vector, scaled to the first technique
     that actually uses the group."""
     lags = _validate_group(ts, group)
-    if not leontief_sono_check(ts, group):
+    subs = _group_subvectors(ts, lags)
+    if not _proportional(subs):
         raise NotAggregableError(
             f"group {lags}: input proportions differ across techniques"
         )
-    for tech in ts.techniques:
-        sub = _group_subvector(tech, lags)
-        if any(v > 0 for v in sub):
-            return dict(zip(lags, sub))
-    raise NotAggregableError(f"group {lags}: no technique uses these inputs")
+    sub = subs[_owner_index(subs)]
+    if not any(sub):
+        raise NotAggregableError(f"group {lags}: no technique uses these inputs")
+    return dict(zip(lags, sub))
 
 
 def aggregate_price(
@@ -166,16 +179,20 @@ def aggregate_price(
     )
 
 
-def scalar_complement_lag(ts: TechnologySet, group: FactorGroup) -> int:
-    """The single positive lag outside the group, used to normalize F."""
-    lags = set(_validate_group(ts, group))
-    outside = [t for t in ts.positive_lags() if t not in lags]
+def _complement_lag(lags: Sequence[int], positive: Iterable[int]) -> int:
+    """The one lag of `positive` outside the validated group `lags`."""
+    outside = [t for t in positive if t not in lags]
     if len(outside) != 1:
         raise NonScalarComplementError(
-            f"complement of group {sorted(lags)} holds {len(outside)} positive "
+            f"complement of group {list(lags)} holds {len(outside)} positive "
             "lags; a scalar relative price needs exactly one"
         )
     return outside[0]
+
+
+def scalar_complement_lag(ts: TechnologySet, group: FactorGroup) -> int:
+    """The single positive lag outside the group, used to normalize F."""
+    return _complement_lag(_validate_group(ts, group), ts.positive_lags())
 
 
 def _curve_techniques(ts: TechnologySet, group: FactorGroup) -> tuple[Technique, Technique]:
@@ -184,11 +201,8 @@ def _curve_techniques(ts: TechnologySet, group: FactorGroup) -> tuple[Technique,
         return ts.techniques[0], ts.techniques[0]
     if len(ts) != 2:
         raise ValueError("the relative-price curve compares exactly two techniques")
-    lags = _validate_group(ts, group)
-    first, second = ts.techniques
-    if any(v > 0 for v in _group_subvector(first, lags)):
-        return first, second
-    return second, first
+    k = _owner_index(_group_subvectors(ts, _validate_group(ts, group)))
+    return ts.techniques[k], ts.techniques[1 - k]
 
 
 def aggregate_polynomial(ts: TechnologySet, group: FactorGroup) -> Polynomial:
@@ -226,7 +240,7 @@ def relative_price_curve(
 
 def _domain_start(lo: Fraction) -> Fraction:
     """lo as a Fraction, rejected when x = 1 + lo is not positive."""
-    lo = Fraction(lo)
+    lo = lo if type(lo) is Fraction else Fraction(lo)
     if lo <= -1:
         raise DomainError(f"domain start {lo} is at or below -100%")
     return lo
@@ -433,11 +447,13 @@ def verify_single_switch(
     function of the relative factor price, crossing 1 at most once.
 
     Preconditions (two techniques, disjoint positive supports, the group
-    exactly equal to one support, a scalar complement) are verified first;
-    when any fails the verdict carries a reason and makes no claim.
+    exactly equal to one support, a scalar complement) are verified first,
+    in that order and in one pass over the group; when any fails the verdict
+    carries a reason and makes no claim.
 
     Given the preconditions, the verdict rests on an exact polynomial
-    identity in x = 1 + i, not on sampling: F equals the owner's unit cost
+    identity in x = 1 + i, compared coefficient by coefficient on the labor
+    tuples, not on sampling: F equals the owner's unit cost
     and the other technique's cost equals other_coeff * x**lag. The cost
     ratio is then identically relative_price / other_coeff. other_coeff is
     positive because the complement lag lies in the other technique's
@@ -449,40 +465,46 @@ def verify_single_switch(
     pays for no isolation.
     """
     lo = _domain_start(lo)
-    names = tuple(ts.names)
+    names = ts.names
     if len(ts) != 2:
         return TheoremVerdict(names, False, None, None, "needs exactly two techniques")
     try:
         lags = _validate_group(ts, group)
     except ValueError as exc:
         return TheoremVerdict(names, False, None, None, str(exc))
-    if not leontief_sono_check(ts, group):
+    subs = _group_subvectors(ts, lags)
+    if not _proportional(subs):
         return TheoremVerdict(
             names, False, None, None, "group fails the price-aggregation check"
         )
-    owner, other = _curve_techniques(ts, group)
-    if set(owner.support) & set(other.support):
+    k = _owner_index(subs)
+    owner, other = ts.techniques[k], ts.techniques[1 - k]
+    owner_support, other_support = set(owner.support), set(other.support)
+    if owner_support & other_support:
         return TheoremVerdict(
             names, True, None, None, "technique supports are not disjoint"
         )
-    if set(owner.support) != set(lags):
+    if owner_support != set(lags):
         return TheoremVerdict(
             names, True, None, None,
             "group must equal the positive support of one technique",
         )
     try:
-        lag = scalar_complement_lag(ts, group)
+        lag = _complement_lag(lags, owner_support | other_support)
     except NonScalarComplementError as exc:
         return TheoremVerdict(names, True, None, None, str(exc))
 
-    # Collapse identity: F coincides with the owner's unit cost, and the
-    # other technique's cost is a single monomial, so the cost ratio equals
-    # relative_price / other_coefficient identically.
-    f_poly = aggregate_polynomial(ts, group)
-    other_coeff = other.lag(lag)
-    if f_poly != owner.cost_polynomial(Fraction(1)) or other.cost_polynomial(
-        Fraction(1)
-    ) != other_coeff * Polynomial.monomial(lag):
+    # Collapse identity, on the coefficients of x**1 .. x**horizon at unit
+    # wage: F, the owner's group sub-vector at the group lags (the reference
+    # bundle), is the owner's unit cost, and the other technique's cost is
+    # the single monomial other_coeff * x**lag, so the cost ratio equals
+    # relative_price / other_coeff identically.
+    bundle = dict(zip(lags, subs[k]))
+    other_coeff = other.labor[lag - 1]
+    span = range(1, ts.horizon + 1)
+    if owner.labor != tuple(bundle.get(t, 0) for t in span) or other.labor != tuple(
+        other_coeff if t == lag else 0 for t in span
+    ):
         return TheoremVerdict(
             names, True, False,
             "collapse identity failed: cost ratio is not a function of the "

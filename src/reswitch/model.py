@@ -39,15 +39,16 @@ class Technique:
     labor: tuple[Fraction, ...]
 
     def __init__(self, name: str, labor: Iterable):
-        # Fraction(Fraction) copies through the slow numbers-ABC path
+        # Fraction(Fraction) copies through the slow numbers-ABC path, and a
+        # Fraction's sign is its numerator's
         values = tuple(v if type(v) is Fraction else Fraction(v) for v in labor)
         if not name:
             raise ModelFormatError("technique name must be nonempty")
         if not values:
             raise ModelFormatError(f"technique {name!r} has an empty labor profile")
-        if any(v < 0 for v in values):
+        if any(v.numerator < 0 for v in values):
             raise ModelFormatError(f"technique {name!r} has negative labor input")
-        if all(v == 0 for v in values):
+        if not any(values):
             raise ModelFormatError(f"technique {name!r} uses no labor at all")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labor", values)
@@ -64,7 +65,7 @@ class Technique:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(t for t in range(1, self.horizon + 1) if self.labor[t - 1] > 0)
+        return tuple(t for t, v in enumerate(self.labor, start=1) if v.numerator > 0)
 
     def padded(self, horizon: int) -> "Technique":
         if horizon < self.horizon:
@@ -169,8 +170,8 @@ class TechnologySet:
             raise ModelFormatError("technique names must be unique")
         horizon = max(t.horizon for t in techs)
         self.techniques: tuple[Technique, ...] = tuple(t.padded(horizon) for t in techs)
-        self.wage = Fraction(wage)
-        if self.wage <= 0:
+        self.wage = wage if type(wage) is Fraction else Fraction(wage)
+        if self.wage.numerator <= 0:
             raise ModelFormatError(f"wage must be positive, got {self.wage}")
         self.horizon = horizon
 

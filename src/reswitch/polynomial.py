@@ -26,12 +26,21 @@ The isolation routine combines three exact ingredients:
 
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
-case lo == hi). One routine, `_narrow`, bisects every root bracket, here and
-in `switching`, on an integer vector: p's own at an odd-multiplicity root; a
-square-free part is computed only to bisect an even-multiplicity root
-(`_bisection_poly`). Each midpoint's sign is read by homogenized Horner, as
-den**n * f(num/den) with den > 0, so every bisection step takes the same half
-as it would over the rationals; `refine_root` converts its polynomial once.
+case lo == hi). Brackets are bisected on an integer vector: p's own at an
+odd-multiplicity root; a square-free part is computed only to bisect an
+even-multiplicity root (`_bisection_poly`). Each midpoint's sign is read by
+homogenized Horner, as den**n * f(num/den) with den > 0, so every bisection
+step takes the same half as it would over the rationals. Two loops do it:
+
+* `_narrow` halves while a predicate on the bracket holds: away from excluded
+  points here, and against domain edges and other brackets in `switching`
+  (a few halvings each);
+* `refine_root`, the one caller that stops on a width, counts its halvings
+  first, as the least k with (hi - lo) / 2**k < tol by one integer division,
+  and then bisects integer numerators over the single denominator
+  lcm * 2**k. It visits the same dyadic midpoints as a Fraction bisection,
+  returns a midpoint that is a root exactly, and builds one Fraction, the
+  final midpoint.
 """
 
 from __future__ import annotations
@@ -518,7 +527,8 @@ def isolate_roots_closed(
 
 
 def refine_root(interval: RootInterval, p: Polynomial, tol: Fraction) -> Fraction:
-    """Rational approximation within tol of the root certified by `interval`.
+    """Rational approximation within tol of the root certified by `interval`:
+    the midpoint of the first bisected bracket narrower than tol.
 
     Exact roots are returned unchanged. A bracket is bisected on p's integer
     vector when p changes sign across it (odd multiplicity), otherwise on the
@@ -526,9 +536,27 @@ def refine_root(interval: RootInterval, p: Polynomial, tol: Fraction) -> Fractio
     """
     if interval.is_exact:
         return interval.lo
-    tol = Fraction(tol)
-    if tol <= 0:
+    tol = tol if type(tol) is Fraction else Fraction(tol)
+    if tol.numerator <= 0:
         raise ValueError("tolerance must be positive")
-    s = _bisection_poly(_int_vector(p), interval.lo, interval.hi)
-    a, b = _narrow(s, interval.lo, interval.hi, lambda a, b: b - a >= tol)
-    return (a + b) / 2
+    lo, hi = interval.lo, interval.hi
+    s = _bisection_poly(_int_vector(p), lo, hi)
+    # k is the least count with (hi - lo) / 2**k < tol. The bracket is
+    # carried as numerators a, b over den = lcm * 2**k, so every midpoint
+    # (a + b) >> 1 is exact and its sign is that of den**n * s(m / den).
+    lcm = _int_lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (lcm // lo.denominator)
+    b = hi.numerator * (lcm // hi.denominator)
+    k = max((b - a) * tol.denominator // (tol.numerator * lcm), 0).bit_length()
+    a, b, den = a << k, b << k, lcm << k
+    a_negative = _scaled_value(s, a, den) < 0
+    for _ in range(k):
+        m = (a + b) >> 1
+        fm = _scaled_value(s, m, den)
+        if fm == 0:
+            return Fraction(m, den)
+        if (fm < 0) == a_negative:
+            a = m
+        else:
+            b = m
+    return Fraction(a + b, den << 1)

@@ -2,13 +2,12 @@
 PASS/FAIL line. Tolerances are pinned here and nowhere else."""
 
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
+from cli_process import run_cli
 from oracles import _fraction_derivative, fraction_gcd, oracle_root_value, scan_sign_roots
 from reswitch import (
     FactorGroup,
@@ -86,10 +85,8 @@ def test_criterion_3_reswitching_detected():
 
 def test_criterion_4_table2_rows_and_minimum_certificate():
     with criterion(4, "ratio table matches all 6 rows; minimum certified to 1e-6"):
-        cp = subprocess.run(
-            [sys.executable, "-m", "reswitch", "table2", "--model", MODEL,
-             "--group", "1,3", "--rates", "0,20,25,100/3,50"],
-            capture_output=True, text=True,
+        cp = run_cli(
+            "table2", "--model", MODEL, "--group", "1,3", "--rates", "0,20,25,100/3,50"
         )
         assert cp.returncode == 0, cp.stderr
         rows = [line.split(",") for line in cp.stdout.strip().splitlines()][1:]

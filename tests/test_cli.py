@@ -19,16 +19,12 @@ from reswitch.cli import (
 )
 from reswitch.rationals import format_fixed
 
+from cli_process import run_cli
 from oracles import no_int_str_limit
 
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
 # wage 3/2; c clones a; irrational ties at x = 2 -+ sqrt(2)/2
 CLONE_IRR = str(Path(__file__).parent / "data" / "clone_irr.json")
-
-
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "reswitch", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -464,9 +460,8 @@ class TestAnalyze:
             '{"wage": "%s", "techniques": [{"name": "a", "labor": ["0", "7", "0"]},'
             ' {"name": "b", "labor": ["6", "0", "2"]}]}' % wage
         )
-        cmd = [sys.executable, "-m", "reswitch", *args, "--model", str(model)]
         start = time.monotonic()
-        cp = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+        cp = run_cli(*args, "--model", str(model), timeout=30)
         assert time.monotonic() - start < 1
         assert cp.returncode == 1
         assert cp.stderr.startswith("error:") and "wage" in cp.stderr
@@ -582,6 +577,41 @@ class TestUsageErrors:
         assert cp.returncode == 2
         assert "horizon" in cp.stderr
         assert "Traceback" not in cp.stderr
+
+
+class TestNegativeFlagValues:
+    """A value flag takes a negative spec in the spaced form, which argparse
+    alone reads as an option; stdout matches the `=` form."""
+
+    @pytest.mark.parametrize(
+        "args, flag, value",
+        [
+            (("analyze", "--model", MODEL), "--domain", "-20:50"),
+            (("table1", "--model", MODEL), "--rates", "-10,20"),
+            (("curves", "figure2", "--model", MODEL), "--grid", "-10:20:5"),
+        ],
+        ids=["domain", "rates", "grid"],
+    )
+    def test_spaced_form_matches_equals_form(self, args, flag, value):
+        spaced = run_cli(*args, flag, value)
+        joined = run_cli(*args, f"{flag}={value}")
+        assert spaced.returncode == joined.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout != ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("analyze", "--model", MODEL, "--domain"),
+            ("analyze", "--model", MODEL, "--domain", "--unit", "fraction"),
+            ("table1", "--model", MODEL, "--rates", "--exact"),
+        ],
+        ids=["at_end", "before_option", "before_flag"],
+    )
+    def test_missing_value_is_a_usage_error(self, args):
+        cp = run_cli(*args)
+        assert cp.returncode == 2
+        assert "expected one argument" in cp.stderr
+        assert cp.stdout == ""
 
 
 class TestFalsify:

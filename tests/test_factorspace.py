@@ -1,10 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import reswitch.factorspace as factorspace
-from oracles import bisect_root, equal_price_pairs, factor_grid, factor_space_violations
+from oracles import (
+    _poly_eval as _poly_value,
+    bisect_root,
+    equal_price_pairs,
+    factor_grid,
+    factor_space_violations,
+    fraction_narrow,
+    fraction_yun,
+)
 from reswitch import (
     DomainError,
     FactorGroup,
@@ -13,6 +22,7 @@ from reswitch import (
     NonScalarComplementError,
     NotAggregableError,
     Polynomial,
+    RootInterval,
     Technique,
     TechnologySet,
     aggregate_price,
@@ -20,6 +30,7 @@ from reswitch import (
     generate_technology,
     interest_rates_for_relative_price,
     isolate_real_roots,
+    isolate_roots_closed,
     leontief_sono_check,
     refine_root,
     relative_price_curve,
@@ -29,6 +40,8 @@ from reswitch import (
     symmetric_interest_pairs,
     verify_single_switch,
 )
+from reswitch.factorspace import aggregate_polynomial
+from reswitch.switching import APPROX_TOL
 
 TS = samuelson_example()
 G13 = FactorGroup.of(1, 3)
@@ -334,6 +347,141 @@ class TestVerifySingleSwitch:
         groups = {tuple(sorted(g.lags)) for g in support_groups(TS)}
         assert groups == {(2,), (1, 3)}
 
+    def test_not_two_techniques_unmet(self):
+        three = TechnologySet([*TS.techniques, Technique("c", (1, 0, 0))])
+        for ts in (three, TechnologySet([TS.get("b")])):
+            v = verify_single_switch(ts, G13)
+            assert (v.aggregable, v.single_switch, v.counterexample) == (False, None, None)
+            assert v.reason == "needs exactly two techniques"
+            assert v.pair == ts.names and v.crossing is None
+
+    @pytest.mark.parametrize(
+        "lags, reason",
+        [
+            ((4,), "group lags '4' outside horizon 1..3"),
+            ((0, 2), "group lags '0,2' outside horizon 1..3"),
+            ((1, 2, 3), "factor group must be a proper subset of the lags"),
+            ((), "factor group must be nonempty"),
+        ],
+    )
+    def test_bad_group_unmet(self, lags, reason):
+        v = verify_single_switch(TS, FactorGroup.of(*lags))
+        assert (v.aggregable, v.single_switch, v.reason) == (False, None, reason)
+        assert v.crossing is None
+
+    def test_price_aggregation_check_fails_unmet(self):
+        ts = TechnologySet([Technique("p", (1, 1, 5)), Technique("q", (2, 1, 5))])
+        v = verify_single_switch(ts, FactorGroup.of(1, 2))
+        assert (v.aggregable, v.single_switch, v.counterexample) == (False, None, None)
+        assert v.reason == "group fails the price-aggregation check"
+        assert v.crossing is None
+
+    def test_verdict_builds_no_polynomial_until_crossing_read(self, monkeypatch):
+        built, costed = [], []
+        init, cost = Polynomial.__init__, Technique.cost_polynomial
+
+        def counting_init(self, coeffs=()):
+            built.append(coeffs)
+            init(self, coeffs)
+
+        def counting_cost(self, wage=F(1)):
+            costed.append(self.name)
+            return cost(self, wage)
+
+        monkeypatch.setattr(Polynomial, "__init__", counting_init)
+        monkeypatch.setattr(Technique, "cost_polynomial", counting_cost)
+        cfg = GeneratorConfig(seed=5, trials=40)
+        verdicts = [verify_single_switch(TS, G13)] + [
+            verify_single_switch(ts, group)
+            for ts in [generate_technology(cfg, k) for k in range(cfg.trials)]
+            for group in support_groups(ts)
+        ]
+        assert sum(v.single_switch is True for v in verdicts) >= 30
+        assert built == [] and costed == []
+        assert verdicts[0].crossing.relative_price == 7
+        assert built and costed == []
+
+    def test_seeded_verdicts_match_public_oracle(self):
+        rng = random.Random(1717)
+        domains = [(F(0), F(2)), (F(-1, 2), F(1)), (F(1, 3), F(5)), (F(3, 2), F(2))]
+        seen = Counter()
+        cfgs = [
+            GeneratorConfig(seed=11, trials=150),
+            GeneratorConfig(seed=12, trials=150, structure="free", horizon_max=6),
+        ]
+        for cfg in cfgs:
+            for k in range(cfg.trials):
+                ts = generate_technology(cfg, k)
+                if k % 20 == 0:  # one technique alone
+                    ts = TechnologySet(ts.techniques[:1])
+                elif k % 10 == 0:  # a third technique, one lag longer
+                    labor = [F(rng.randint(0, 3)) for _ in range(ts.horizon)] + [F(1)]
+                    ts = TechnologySet([*ts.techniques, Technique("c", labor)])
+                groups = support_groups(ts) + [
+                    FactorGroup.of(*rng.sample(range(0, ts.horizon + 2), rng.randint(1, 3)))
+                ]
+                lo, hi = rng.choice(domains)
+                for group in groups:
+                    v = verify_single_switch(ts, group, lo, hi)
+                    expected = _verdict_oracle(ts, group, lo, hi)
+                    assert _verdict_record(v) == expected, (cfg.structure, k, sorted(group.lags))
+                    seen[" ".join(v.reason.split()[:2]) if v.reason else v.single_switch] += 1
+                    seen["crossing"] += expected[-1] is not None
+        assert seen[True] >= 120 and seen["crossing"] >= 50, seen
+        for kind in ("needs exactly", "group lags", "group fails", "technique supports",
+                     "group must", "complement of"):
+            assert seen[kind] >= 20, (kind, seen)
+
+
+def _verdict_record(v):
+    crossing = v.crossing
+    if crossing is not None:
+        crossing = (crossing.relative_price, crossing.interest_preimages, crossing.interest_approx)
+    return (v.pair, v.aggregable, v.single_switch, v.counterexample, v.reason, crossing)
+
+
+def _verdict_oracle(ts, group, lo, hi):
+    """The verdict rebuilt from the public precondition checks, the collapse
+    identity on cost polynomials, and the crossing as the tie points of the
+    two unit-wage cost curves in [lo, hi]."""
+    names = ts.names
+    if len(ts) != 2:
+        return (names, False, None, None, "needs exactly two techniques", None)
+    try:
+        aggregable = leontief_sono_check(ts, group)
+    except ValueError as exc:
+        return (names, False, None, None, str(exc), None)
+    if not aggregable:
+        return (names, False, None, None, "group fails the price-aggregation check", None)
+    a, b = ts.techniques
+    sa, sb = set(a.support), set(b.support)
+    if sa & sb:
+        return (names, True, None, None, "technique supports are not disjoint", None)
+    if set(group.lags) not in (sa, sb):
+        reason = "group must equal the positive support of one technique"
+        return (names, True, None, None, reason, None)
+    try:
+        lag = scalar_complement_lag(ts, group)
+    except NonScalarComplementError as exc:
+        return (names, True, None, None, str(exc), None)
+    owner, other = (a, b) if sa == set(group.lags) else (b, a)
+    assert FactorGroup(frozenset(owner.support)) in support_groups(ts)
+    coeff = other.lag(lag)
+    unit = F(1)
+    assert owner.cost_polynomial(unit) == aggregate_polynomial(ts, group)
+    assert other.cost_polynomial(unit) == Polynomial.monomial(lag, coeff)
+    d = owner.cost_polynomial(unit) - other.cost_polynomial(unit)
+    roots = isolate_roots_closed(d, 1 + lo, 1 + hi)
+    crossing = None
+    if roots:
+        preimages = tuple(RootInterval(r.lo - 1, r.hi - 1, r.parity) for r in roots)
+        approx = tuple(
+            r.lo if r.is_exact else _narrowed_midpoint(d.coeffs, r.lo + 1, r.hi + 1) - 1
+            for r in preimages
+        )
+        crossing = (coeff, preimages, approx)
+    return (names, True, True, None, None, crossing)
+
 
 def _complement_lag(labors, group_lags):
     """The one positive lag outside the group, read off the raw vectors."""
@@ -412,3 +560,12 @@ class TestGridOracle:
         # the direction, which only the monotone scan sees
         reversed_ = factor_space_violations([(0, -7, 0), (6, 0, 2)], (1, 3), 2)
         assert reversed_ and all("not increasing" in m for m in reversed_)
+
+
+def _narrowed_midpoint(coeffs, lo, hi):
+    """The midpoint of the first bracket narrower than APPROX_TOL, bisecting
+    the polynomial, or its square-free part at an even root."""
+    odd = _poly_value(coeffs, lo) * _poly_value(coeffs, hi) < 0
+    s = coeffs if odd else fraction_yun(coeffs)[0]
+    a, b = fraction_narrow(s, lo, hi, lambda a, b: b - a >= APPROX_TOL)
+    return (a + b) / 2

@@ -595,6 +595,42 @@ class TestIntegerBisection:
         for kind, count in minimum.items():
             assert seen[kind] >= count, (kind, seen)
 
+    # (coefficients, bracket) with one root inside; `refine_root` counts its
+    # halvings in integers, so each case pins one edge of that count
+    REFINE_CASES = {
+        "negative": ([-2, 0, 1], F(-2), F(-1)),  # -sqrt(2)
+        "across_zero": ([-3, 0, 0, 1], F(-2), F(2)),  # 3**(1/3)
+        "inside_unit": ([-1, 0, 10], F(1, 4), F(1, 2)),  # 1/sqrt(10)
+        "inside_unit_coprime_ends": ([-1, 0, 7], F(1, 3), F(3, 7)),  # 1/sqrt(7)
+        "midpoint_root": ([-3, 4, -3, 4], F(0), F(1)),  # (4x - 3)(x^2 + 1)
+        "negative_midpoint_root": ([5, 8, 5, 8], F(-1), F(0)),  # (8x + 5)(x^2 + 1)
+        "even_root": ([9, 0, -6, 0, 1], F(1), F(2)),  # (x^2 - 3)^2
+        "even_root_negative": ([25, 0, -10, 0, 1], F(-3), F(-2)),  # (x^2 - 5)^2
+        "width_equals_third": ([-2, 0, 1], F(4, 3), F(5, 3)),
+        "width_equals_1e-9": ([-2, 0, 1], F(1414213562, 10**9), F(1414213563, 10**9)),
+        "narrower_than_every_tol": (
+            [-2, 0, 1], F(14142135623730, 10**13), F(14142135623731, 10**13)
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "tol", [F(1, 3), F(1, 10**9), F(1, 10**12)], ids=["third", "1e-9", "1e-12"]
+    )
+    def test_refine_matches_fraction_oracle_on_edge_brackets(self, tol):
+        seen = Counter()
+        for kind, (coeffs, lo, hi) in self.REFINE_CASES.items():
+            p = Polynomial(coeffs)
+            odd = p(lo) * p(hi) < 0
+            s = coeffs if odd else fraction_yun(coeffs)[0]
+            a, b = fraction_narrow(s, lo, hi, lambda a, b: b - a >= tol)
+            iv = RootInterval(lo, hi, ODD if odd else EVEN)
+            assert refine_root(iv, p, tol) == (a + b) / 2, kind
+            seen["zero_halvings" if (a, b) == (lo, hi) else "halved"] += 1
+            seen["midpoint_root" if a == b else "bracket"] += 1
+            seen["odd" if odd else "even"] += 1
+        assert seen["zero_halvings"] >= 1 and seen["midpoint_root"] >= 1, seen
+        assert seen["even"] == 2 and seen["halved"] >= 7, seen
+
     def test_odd_bracket_refined_without_fraction_evaluation(self, monkeypatch):
         p = poly(-2, 0, 1) * poly(-3, 1)  # (x^2 - 2)(x - 3)
         (root,) = isolate_real_roots(p, F(1), F(2))
