@@ -231,7 +231,7 @@ def cmd_table2(args) -> int:
     rates = parse_rate_list(args.rates, args.unit)
     places = args.precision if args.precision is not None else 2
     min_places = args.precision if args.precision is not None else MIN_ROW_PLACES
-    domain_hi = max([Fraction(2)] + rates)
+    domain_lo, domain_hi = min([Fraction(0)] + rates), max([Fraction(2)] + rates)
 
     # one row per distinct relative price; preimages fill in the other rates
     tol = Fraction(1, 10 ** (places + 6))
@@ -240,7 +240,7 @@ def cmd_table2(args) -> int:
         if point.relative_price in seen:
             continue
         preimages = refined_interest_rates(
-            ts, group, point.relative_price, Fraction(0), domain_hi, tol
+            ts, group, point.relative_price, domain_lo, domain_hi, tol
         )
         seen[point.relative_price] = {
             "relative_price": format_fixed(point.relative_price, places),
@@ -251,7 +251,7 @@ def cmd_table2(args) -> int:
         }
 
     rows_data = list(seen.values())
-    minimum = curve_minimum(ts, group, Fraction(0), domain_hi)
+    minimum = curve_minimum(ts, group, domain_lo, domain_hi)
     if minimum is not None:
         rows_data.append(
             {

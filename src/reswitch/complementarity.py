@@ -215,12 +215,18 @@ def complementarity_witness(
     for lag in (j, k):
         if lag < 1 or lag > ts.horizon:
             raise ValueError(f"lag {lag} outside horizon 1..{ts.horizon}")
-    ts = _distinct(ts)
-    if len(ts) == 1:
+    return _pair_witness(_distinct(ts), j, k)
+
+
+def _pair_witness(
+    distinct: TechnologySet, j: int, k: int
+) -> Optional[ComplementarityWitness]:
+    """The search for checked lags j != k on a menu of distinct profiles."""
+    if len(distinct) == 1:
         return None
-    if len(ts) == 2:
-        return _analytic_two_technique_witness(ts, j, k)
-    return _grid_witness(ts, j, k)
+    if len(distinct) == 2:
+        return _analytic_two_technique_witness(distinct, j, k)
+    return _grid_witness(distinct, j, k)
 
 
 def find_complementary_pair(ts: TechnologySet) -> Optional[ComplementarityWitness]:
@@ -230,7 +236,7 @@ def find_complementary_pair(ts: TechnologySet) -> Optional[ComplementarityWitnes
         for k in range(1, ts.horizon + 1):
             if j == k:
                 continue
-            witness = complementarity_witness(distinct, (j, k))
+            witness = _pair_witness(distinct, j, k)
             if witness is not None:
                 return witness
     return None

@@ -248,9 +248,16 @@ def _domain_start(lo: Fraction) -> Fraction:
 
 def _price_equation(ts: TechnologySet, group: FactorGroup, target: Fraction) -> Polynomial:
     """F(x) - target * x**lag at unit wage: zero where F/complement-rental
-    equals target, x = 1 + i."""
+    equals target, x = 1 + i.
+
+    Built as one coefficient list: F's coefficients padded with zeros up to
+    degree lag, with target subtracted from the x**lag coefficient.
+    """
     lag = scalar_complement_lag(ts, group)
-    return aggregate_polynomial(ts, group) - Fraction(target) * Polynomial.monomial(lag)
+    coeffs = list(aggregate_polynomial(ts, group).coeffs)
+    coeffs += [Fraction(0)] * (lag + 1 - len(coeffs))
+    coeffs[lag] -= Fraction(target)
+    return Polynomial(coeffs)
 
 
 def interest_rates_for_relative_price(

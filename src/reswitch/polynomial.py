@@ -1,6 +1,11 @@
 """Dense univariate polynomials over the rationals, with certified real-root
 isolation.
 
+`Polynomial` is a coefficient record with evaluation and no arithmetic.
+All algebra (gcds, square-free parts, exact quotients, Sturm remainders)
+runs on primitive integer vectors: coefficient lists cleared of their
+denominators and divided by their content.
+
 The isolation routine combines three exact ingredients:
 
 * multiplicity parity comes from the Yun square-free decomposition, since a
@@ -22,7 +27,7 @@ The isolation routine combines three exact ingredients:
   bracketed by Sturm-count bisection, so the interval count is provably
   exhaustive. The Sturm chain is the same primitive remainder sequence that
   the gcd and Yun take, each remainder negated, so every division in this
-  module runs on integer vectors and `Polynomial` itself has no division.
+  module runs on integer vectors.
 
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
@@ -57,11 +62,13 @@ EVEN = "even"
 
 
 class Polynomial:
-    """Coefficient sequence over Fraction; index k holds the x**k coefficient.
+    """Coefficient record over Fraction; index k holds the x**k coefficient.
 
     The zero polynomial is the empty sequence and reports degree None.
     Trailing zero coefficients are stripped on construction, so equality is
-    structural equality of normalized coefficient tuples.
+    structural equality of normalized coefficient tuples. It offers
+    evaluation and no arithmetic: callers form sums and products on
+    coefficient lists and build the polynomial from the result.
     """
 
     __slots__ = ("coeffs",)
@@ -71,10 +78,6 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1) -> "Polynomial":
-        return cls([0] * degree + [coeff])
 
     @property
     def is_zero(self) -> bool:
@@ -95,33 +98,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial([x + y for x, y in zip(a, b)] + list(a[len(b):]))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial(c * Fraction(other) for c in self.coeffs)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -268,14 +244,10 @@ def sign_variations(values: Sequence[Fraction]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """Every real root r of p satisfies |r| < bound."""
-    return _cauchy_bound(p.coeffs)
-
-
 def _cauchy_bound(coeffs: Sequence) -> Fraction:
-    """`cauchy_root_bound` of the coefficients, constant term first and
-    the last one nonzero, as integers or Fractions."""
+    """Cauchy's bound: every real root r of the polynomial with these
+    coefficients, constant term first and the last one nonzero, as integers
+    or Fractions, satisfies |r| < bound."""
     if len(coeffs) < 2:
         return Fraction(1)
     return 1 + Fraction(max(abs(c) for c in coeffs[:-1])) / abs(coeffs[-1])

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from scratch on stdlib integers and
 fractions, without touching the package's own isolation or dominance code:
-dense sign scans with finite differences, plain bisection, the
+dense sign scans with finite differences, plain bisection, products of
+coefficient lists by convolution, the
 rational-root theorem with every candidate evaluated as a fraction, Euclid's
 gcd, Yun's decomposition and the classic Sturm sequence by long division
 over the rationals, bracket bisection with a Fraction evaluation at every
@@ -95,6 +96,19 @@ def _poly_eval(coeffs, x: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def int_product(factors):
+    """Coefficients (constant term first) of a product of coefficient lists,
+    by schoolbook convolution; integer lists give an integer vector."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def rational_roots(int_coeffs) -> list[Fraction]:

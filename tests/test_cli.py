@@ -118,6 +118,23 @@ class TestTable2:
             ["8.00", "0.00 and 200.00", "114.29", ""],
         ]
 
+    def test_each_rate_among_its_own_rows_preimages(self):
+        # preimages are searched from min(0, rates) to max(2, rates), so a
+        # negative rate or one past 200% is a preimage of its own price;
+        # F / x**2 = 6/x + 2x for the champagne model, x = 1 + i
+        rates = [F(-1, 2), F(-1, 10), F(0), F(1, 4), F(1, 3), F(1, 2), F(5, 2)]
+        cp = run_cli(
+            "table2", "--model", MODEL, "--group", "1,3",
+            "--rates", "-50,-10,0,25,100/3,50,250", "--exact",
+        )
+        assert cp.returncode == 0, cp.stderr
+        rows = csv_rows(cp.stdout)[1:]
+        preimages = {r[4]: r[5].split(" and ") for r in rows if r[3] != "*"}
+        assert len(preimages) == len(rows) - 1 == len(rates)
+        for i in rates:
+            x = 1 + i
+            assert str(i) in preimages[str(6 / x + 2 * x)], i
+
     def test_non_aggregable_group_diagnostic(self):
         cp = run_cli("table2", "--model", MODEL, "--group", "1,2", "--rates", "0")
         assert cp.returncode == 1
@@ -589,8 +606,9 @@ class TestNegativeFlagValues:
             (("analyze", "--model", MODEL), "--domain", "-20:50"),
             (("table1", "--model", MODEL), "--rates", "-10,20"),
             (("curves", "figure2", "--model", MODEL), "--grid", "-10:20:5"),
+            (("table2", "--model", MODEL, "--group", "1,3"), "--rates", "-10,50"),
         ],
-        ids=["domain", "rates", "grid"],
+        ids=["domain", "rates", "grid", "table2"],
     )
     def test_spaced_form_matches_equals_form(self, args, flag, value):
         spaced = run_cli(*args, flag, value)

@@ -117,6 +117,37 @@ class TestWitness:
         w = find_complementary_pair(first)
         assert (w.pair, w.technique_before, w.technique_after) == ((1, 3), "b", "c")
 
+    def test_search_collapses_the_menu_once(self, monkeypatch):
+        # every lag pair of one search runs on the menu collapsed up front:
+        # one technique left, two profiles (witness at the second pair, or
+        # none at all) and the grid over three profiles
+        monkeypatch.setattr(complementarity, "GRID_POINTS", 8)
+        calls = []
+        original = TechnologySet.distinct_profiles
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(TechnologySet, "distinct_profiles", counting)
+        menus = {
+            "one": TechnologySet([Technique("a", (2, 3, 1)), Technique("b", (2, 3, 1))]),
+            "two": TechnologySet([*TS.techniques, Technique("c", (0, 7))]),
+            "two_none": TechnologySet([Technique("a", (1, 2, 3)), Technique("b", (2, 4, 6))]),
+            "grid": TechnologySet([*TS.techniques, Technique("c", (3, 3, 3))]),
+        }
+        found = {}
+        for name, ts in menus.items():
+            calls.clear()
+            w = find_complementary_pair(ts)
+            found[name] = w and w.pair
+            assert len(calls) == 1, name
+        assert found == {"one": None, "two": (1, 3), "two_none": None, "grid": (1, 3)}
+        expected = find_complementary_pair(TS)
+        calls.clear()
+        assert complementarity_witness(menus["two"], (1, 3)) == expected
+        assert len(calls) == 1
+
 
 class TestOwnPriceLaw:
     def test_raising_own_price_never_raises_own_demand(self):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 
@@ -16,6 +17,7 @@ from oracles import (
 )
 from reswitch import (
     DomainError,
+    EVEN,
     FactorGroup,
     GeneratorConfig,
     NoRootError,
@@ -32,6 +34,8 @@ from reswitch import (
     isolate_real_roots,
     isolate_roots_closed,
     leontief_sono_check,
+    pairwise_switch_points,
+    pairwise_tangencies,
     refine_root,
     relative_price_curve,
     samuelson_example,
@@ -433,6 +437,68 @@ class TestVerifySingleSwitch:
             assert seen[kind] >= 20, (kind, seen)
 
 
+class TestCrossingAtTies:
+    """The theorem's one factor-price crossing is where the cost ratio is 1,
+    so its interest preimages are the pair's ties on the interest axis: the
+    champagne switches at 50% and 100% are the two preimages of relative
+    price 7."""
+
+    def test_champagne_switches_are_the_crossings_preimages(self):
+        crossing = verify_single_switch(TS, G13).crossing
+        assert crossing.relative_price == 7
+        points = pairwise_switch_points(*TS.techniques)
+        assert [r.lo for r in crossing.interest_preimages] == [F(1, 2), F(1)]
+        assert [p.interest_exact for p in points] == [F(1, 2), F(1)]
+
+    def test_verified_preimages_match_switch_points_and_tangencies(self):
+        domains = [(F(0), F(2)), (F(-1, 2), F(3, 2)), (F(1, 4), F(4))]
+        cfgs = [
+            GeneratorConfig(seed=21, trials=200),
+            GeneratorConfig(seed=22, trials=400, structure="free"),
+        ]
+        # costs touching without crossing: x (x - 3/2)**2 at i = 1/2, and
+        # x (x**2 - 2)**2 at i = sqrt(2) - 1
+        tangent = [
+            TechnologySet([Technique("o", (F(9, 4), 0, 1)), Technique("s", (0, 3, 0))]),
+            TechnologySet([Technique("o", (4, 0, 0, 0, 1)), Technique("s", (0, 0, 4, 0, 0))]),
+        ]
+        menus = [generate_technology(cfg, k) for cfg in cfgs for k in range(cfg.trials)]
+        seen = Counter()
+        for ts in menus + tangent:
+            for group in support_groups(ts):
+                for lo, hi in domains:
+                    v = verify_single_switch(ts, group, lo, hi)
+                    if v.single_switch is not True:
+                        continue
+                    seen["verified"] += 1
+                    ties = [
+                        (p.certificate, p.interest_approx)
+                        for p in pairwise_switch_points(*ts.techniques, lo, hi)
+                    ] + [
+                        (t.certificate, t.interest_approx)
+                        for t in pairwise_tangencies(*ts.techniques, lo, hi)
+                    ]
+                    ties.sort(key=lambda tie: tie[0].lo)
+                    crossing = v.crossing
+                    if crossing is None:
+                        assert ties == [], (ts, lo, hi)
+                        continue
+                    found = list(zip(crossing.interest_preimages, crossing.interest_approx))
+                    assert len(found) == len(ties), (ts, lo, hi)
+                    for (r, approx), (c, tie_approx) in zip(found, ties):
+                        assert r.parity == c.parity
+                        if r.is_exact or c.is_exact:
+                            assert (r.lo, r.hi) == (c.lo, c.hi)
+                            seen["exact"] += 1
+                        else:
+                            assert r.lo < c.hi and c.lo < r.hi
+                            assert abs(approx - tie_approx) <= 2 * APPROX_TOL
+                            seen["bracket"] += 1
+                        seen[r.parity] += 1
+        assert seen["verified"] >= 750 and seen["exact"] >= 400, seen
+        assert seen["bracket"] >= 140 and seen[EVEN] >= 6, seen
+
+
 def _verdict_record(v):
     crossing = v.crossing
     if crossing is not None:
@@ -468,9 +534,12 @@ def _verdict_oracle(ts, group, lo, hi):
     assert FactorGroup(frozenset(owner.support)) in support_groups(ts)
     coeff = other.lag(lag)
     unit = F(1)
-    assert owner.cost_polynomial(unit) == aggregate_polynomial(ts, group)
-    assert other.cost_polynomial(unit) == Polynomial.monomial(lag, coeff)
-    d = owner.cost_polynomial(unit) - other.cost_polynomial(unit)
+    owner_cost, other_cost = owner.cost_polynomial(unit), other.cost_polynomial(unit)
+    assert owner_cost == aggregate_polynomial(ts, group)
+    assert other_cost == Polynomial([0] * lag + [coeff])
+    d = Polynomial(
+        a - b for a, b in zip_longest(owner_cost.coeffs, other_cost.coeffs, fillvalue=0)
+    )
     roots = isolate_roots_closed(d, 1 + lo, 1 + hi)
     crossing = None
     if roots:

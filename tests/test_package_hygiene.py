@@ -5,15 +5,20 @@ binary float enters a computation.
 The one place floats may appear is the trial generator's sampling
 thresholds in `harness.py`, where `rng.random()` (a float in [0, 1)) is
 compared against a literal to pick a shape; no float reaches a result.
+
+The README's Python examples run against the package source, so the public
+surface they show stays in place.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "reswitch"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "reswitch"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -97,3 +102,12 @@ def test_float_literals_only_as_sampling_thresholds(path):
 def test_harness_thresholds_are_seen():
     # the scan above must recognise the generator's draws, or it proves nothing
     assert len(_sampling_thresholds(_tree(PACKAGE / "harness.py"))) >= 5
+
+
+def test_readme_python_examples_run():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert blocks
+    for n, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {n}", "exec"), {})
+    assert Path(sys.modules["reswitch"].__file__).parent == PACKAGE

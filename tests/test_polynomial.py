@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import zip_longest
 from math import gcd, isqrt
 
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     _fraction_derivative,
     _fraction_divmod,
+    _poly_eval,
     bisect_root,
     fraction_gcd,
     fraction_narrow,
     fraction_sturm_chain,
     fraction_sturm_count,
     fraction_yun,
+    int_product,
     oracle_root_value,
     rational_roots,
     scan_sign_roots,
@@ -31,20 +34,24 @@ from reswitch import (
     refine_root,
 )
 from reswitch.polynomial import (
+    _cauchy_bound,
     _int_vector,
     _primitive_gcd,
     _squarefree_ints,
     _yun_ints,
-    cauchy_root_bound,
     sturm_chain,
 )
 from reswitch.switching import _clip_bracket
 
-X = Polynomial.monomial(1)
-
 
 def poly(*coeffs):
     return Polynomial(coeffs)
+
+
+def poly_product(*factors):
+    """The Polynomial whose coefficients are the product of the coefficient
+    lists."""
+    return Polynomial(int_product(factors))
 
 
 def monic(coeffs):
@@ -53,18 +60,6 @@ def monic(coeffs):
 
 
 class TestArithmetic:
-    def test_subtract_cost_polynomials(self):
-        a = poly(0, 0, 7)  # 7x^2
-        b = poly(0, 6, 0, 2)  # 6x + 2x^3
-        assert a - b == poly(0, -6, 7, -2)
-
-    def test_self_cancellation(self):
-        p = poly(0, 6, 0, 2)
-        assert (p - p).is_zero
-
-    def test_scale(self):
-        assert F(1, 2) * poly(0, 6, 0, 2) == poly(0, 3, 0, 1)
-
     def test_eval_examples(self):
         assert poly(0, 0, 7)(F(5, 2)) == F(175, 4)
         assert poly(0, 6, 0, 2)(F(1)) == 8
@@ -84,19 +79,21 @@ class TestArithmetic:
     @settings(max_examples=120)
     def test_eval_is_additive_and_multiplicative(self, cs, ds, x):
         p, q = Polynomial(cs), Polynomial(ds)
-        assert (p + q)(x) == p(x) + q(x)
-        assert (p * q)(x) == p(x) * q(x)
+        assert p(x) == _poly_eval(cs, x) and q(x) == _poly_eval(ds, x)
+        total = [a + b for a, b in zip_longest(cs, ds, fillvalue=0)]
+        assert Polynomial(total)(x) == p(x) + q(x)
+        assert poly_product(cs, ds)(x) == p(x) * q(x)
 
 
 class TestStructure:
     def test_gcd(self):
-        p = poly(-2, 1) * poly(-3, 1) * poly(1, 1)
-        q = poly(-2, 1) * poly(5, 1)
+        p = poly_product([-2, 1], [-3, 1], [1, 1])
+        q = poly_product([-2, 1], [5, 1])
         assert _primitive_gcd(_int_vector(p), _int_vector(q)) == [-2, 1]
         assert fraction_gcd(p.coeffs, q.coeffs) == [-2, 1]
 
     def test_squarefree_decomposition(self):
-        p = poly(0, 1) * poly(-2, 1) * poly(-2, 1)  # x (x-2)^2
+        p = poly_product([0, 1], [-2, 1], [-2, 1])  # x (x-2)^2
         sf, factors = _yun_ints(_int_vector(p))
         assert factors == [([0, 1], 1), ([-2, 1], 2)]
         assert sf == _squarefree_ints(_int_vector(p)) == [0, -2, 1]  # x (x-2)
@@ -135,10 +132,9 @@ class TestStructure:
     def test_yun_square_free_part_matches_gcd_quotient(self):
         rng = random.Random(31)
         for _ in range(40):
-            factors = [poly(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-            p = poly(rng.choice((-3, 2, 5, F(1, 2))))
-            for f in factors + [rng.choice(factors)]:
-                p = p * f
+            factors = [[rng.randint(-4, 4), rng.randint(1, 3)] for _ in range(3)]
+            scale = [rng.choice((-3, 2, 5, F(1, 2)))]
+            p = poly_product(scale, *factors, rng.choice(factors))
             f = _int_vector(p)
             g = fraction_gcd(p.coeffs, _fraction_derivative(p.coeffs))
             quotient, _ = _fraction_divmod(p.coeffs, g)
@@ -152,7 +148,7 @@ class TestStructure:
 
     def test_cauchy_bound_contains_roots(self):
         p = poly(-6, 11, -6, 1)
-        assert cauchy_root_bound(p) > 3
+        assert _cauchy_bound(p.coeffs) > 3
 
 
 class TestIsolation:
@@ -171,12 +167,12 @@ class TestIsolation:
             isolate_real_roots(Polynomial(), F(0), None)
 
     def test_domain_is_half_open(self):
-        p = poly(-2, 1) * poly(-3, 1)
+        p = poly_product([-2, 1], [-3, 1])
         assert len(isolate_real_roots(p, F(2), F(3))) == 1  # root at 3 excluded
         assert len(isolate_real_roots(p, F(2), F(7, 2))) == 2
 
     def test_closed_interval_reports_parity_at_hi(self):
-        p = poly(-1, 1) * poly(-2, 1) * poly(-2, 1)  # (x-1)(x-2)^2
+        p = poly_product([-1, 1], [-2, 1], [-2, 1])  # (x-1)(x-2)^2
         roots = isolate_roots_closed(p, F(0), F(2))
         assert [(r.lo, r.hi, r.parity) for r in roots] == [
             (F(1), F(1), ODD),
@@ -185,7 +181,7 @@ class TestIsolation:
         assert [r.lo for r in isolate_real_roots(p, F(0), F(2))] == [F(1)]
 
     def test_even_parity_flagged(self):
-        p = poly(0, 1) * poly(-2, 1) * poly(-2, 1)
+        p = poly_product([0, 1], [-2, 1], [-2, 1])
         roots = isolate_real_roots(p, F(-1), None)
         by_value = {r.lo: r.parity for r in roots}
         assert by_value[F(0)] == ODD
@@ -234,19 +230,6 @@ class TestIsolation:
         if sf(lo) == 0 or sf(hi) == 0:
             return
         assert fraction_sturm_count(sf.coeffs, lo, hi) == len(isolate_real_roots(p, lo, hi))
-
-
-def int_product(factors):
-    """Integer coefficients (constant term first) of a product of integer
-    coefficient lists."""
-    out = [1]
-    for f in factors:
-        prod = [0] * (len(out) + len(f) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(f):
-                prod[i + j] += a * b
-        out = prod
-    return out
 
 
 def planted_factors(rng, const, lead):
@@ -463,7 +446,7 @@ class TestRefinement:
         assert abs(approx - target) <= F(1, 10**4)
 
     def test_even_root_refinable(self):
-        p = poly(0, 1) * poly(-2, 1) * poly(-2, 1)
+        p = poly_product([0, 1], [-2, 1], [-2, 1])
         roots = isolate_real_roots(p, F(1), None)
         (double,) = [r for r in roots if r.parity == EVEN]
         if not double.is_exact:  # rational extraction returns it exactly
@@ -496,10 +479,8 @@ class TestRefinement:
         for _ in range(60):
             q = poly(-rng.choice((2, 3, 5, 6, 7, 11)), rng.randint(-2, 2), 1)
             k = rng.choice((1, 2, 3))
-            rest = poly(rng.choice((-3, 1, 2))) * poly(rng.randint(-4, 4), 1)
-            p = rest
-            for _ in range(k):
-                p = p * q
+            rest = [[rng.choice((-3, 1, 2))], [rng.randint(-4, 4), 1]]
+            p = poly_product(*rest, *[q.coeffs] * k)
             tol = F(1, rng.choice((10**3, 10**9, 2**40)))
             for iv in isolate_real_roots(p, F(-10), F(10)):
                 if iv.is_exact or q(iv.lo) * q(iv.hi) >= 0:
@@ -513,7 +494,7 @@ class TestRefinement:
 
     def test_sign_change_across_odd_interval(self):
         # round-trip invariant: odd certificates always show a sign change
-        p = poly(0, -6, 7, -2) * poly(-5, 0, 1)
+        p = poly_product([0, -6, 7, -2], [-5, 0, 1])
         for r in isolate_real_roots(p, F(-10), F(10)):
             if r.parity == ODD and not r.is_exact:
                 assert p(r.lo) * p(r.hi) < 0
@@ -632,7 +613,7 @@ class TestIntegerBisection:
         assert seen["even"] == 2 and seen["halved"] >= 7, seen
 
     def test_odd_bracket_refined_without_fraction_evaluation(self, monkeypatch):
-        p = poly(-2, 0, 1) * poly(-3, 1)  # (x^2 - 2)(x - 3)
+        p = poly_product([-2, 0, 1], [-3, 1])  # (x^2 - 2)(x - 3)
         (root,) = isolate_real_roots(p, F(1), F(2))
         calls = []
         original = Polynomial.__call__

@@ -19,6 +19,7 @@ from oracles import (
     fraction_gcd,
     fraction_sturm_count,
     grid_mismatches,
+    int_product,
 )
 import reswitch.cli as cli
 import reswitch.harness as harness
@@ -361,15 +362,13 @@ class TestDominance:
         for _ in range(80):
             m = rng.choice((2, 3, 5, 6, 7, 10, 11))
             n = rng.randint(3, 9)
-            shared = Polynomial([-m, 0, 1])
-            f = Polynomial([rng.randint(-4, 4), rng.choice((-3, 1, 2))])
-            f = f * Polynomial([-(m * n * n + 1), 0, n * n])  # roots +-sqrt(m + 1/n^2)
-            g = Polynomial([rng.choice((-2, 1, 5))]) * Polynomial([-(m * n + 1), 0, n])
+            shared = [-m, 0, 1]
+            near = [-(m * n * n + 1), 0, n * n]  # roots +-sqrt(m + 1/n^2)
+            f = [[rng.randint(-4, 4), rng.choice((-3, 1, 2))], near]
+            g = [[rng.choice((-2, 1, 5))], [-(m * n + 1), 0, n]]
             j, k = rng.randint(1, 3), rng.randint(0, 3)
-            for _ in range(j):
-                f = f * shared
-            for _ in range(k):
-                g = g * shared
+            f = Polynomial(int_product(f + [shared] * j))
+            g = Polynomial(int_product(g + [shared] * k))
             seen[f"f^{j}"] += 1
             seen[f"g^{k}"] += 1
             common = fraction_gcd(f.coeffs, g.coeffs)
