@@ -163,15 +163,14 @@ def _grid_witness(
     while per_axis > 2 and per_axis**horizon > _GRID_CAP:
         per_axis -= 1
     values = _grid_values(per_axis)
-    other_axes = [t for t in range(1, horizon + 1) if t != j]
-    for combo in iter_product(values, repeat=len(other_axes)):
-        fixed = dict(zip(other_axes, combo))
+    # combo holds the prices of the other axes in lag order; p_j goes in
+    # at index j - 1
+    for combo in iter_product(values, repeat=horizon - 1):
+        before_j, after_j = combo[: j - 1], combo[j - 1 :]
         prev: Optional[TechniqueChoice] = None
         prev_pj: Optional[Fraction] = None
         for pj in values:
-            prices = [
-                pj if t == j else fixed[t] for t in range(1, horizon + 1)
-            ]
+            prices = [*before_j, pj, *after_j]
             choice = chosen_input_vector(ts, prices)
             if (
                 prev is not None
@@ -179,12 +178,9 @@ def _grid_witness(
                 and not choice.is_tie
                 and choice.vector[k - 1] < prev.vector[k - 1]
             ):
-                base = [
-                    prev_pj if t == j else fixed[t] for t in range(1, horizon + 1)
-                ]
                 return ComplementarityWitness(
                     pair=(j, k),
-                    base_prices=tuple(base),
+                    base_prices=(*before_j, prev_pj, *after_j),
                     raised_price=pj,
                     demand_before=prev.vector,
                     demand_after=choice.vector,

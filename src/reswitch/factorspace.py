@@ -28,7 +28,6 @@ from functools import cached_property, partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
-    DomainError,
     NoRootError,
     NonScalarComplementError,
     NotAggregableError,
@@ -41,7 +40,7 @@ from .polynomial import (
     refine_root,
 )
 from .rationals import integer_root, quote_short
-from .switching import APPROX_TOL
+from .switching import APPROX_TOL, _domain_start
 
 MIN_REFINE_TOL = Fraction(1, 10**12)
 
@@ -236,14 +235,6 @@ def relative_price_curve(
             AggregateCurvePoint(i, f_poly(x) / x**lag, owner_cost(x) / other_cost(x))
         )
     return out
-
-
-def _domain_start(lo: Fraction) -> Fraction:
-    """lo as a Fraction, rejected when x = 1 + lo is not positive."""
-    lo = lo if type(lo) is Fraction else Fraction(lo)
-    if lo <= -1:
-        raise DomainError(f"domain start {lo} is at or below -100%")
-    return lo
 
 
 def _price_equation(ts: TechnologySet, group: FactorGroup, target: Fraction) -> Polynomial:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -29,6 +29,11 @@ from .switching import _cost_rows, detect_reswitching
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# generated labor coefficients: numerator in 1..NUMERATOR_MAX over a
+# denominator from DENOMINATORS
+NUMERATOR_MAX = 12
+DENOMINATORS = (1, 2, 4)
 
 GRID_CHECK_EVERY = 100
 GRID_CHECK_POINTS = 300
@@ -51,8 +56,8 @@ def trial_seed(seed: int, trial_index: int) -> int:
 class GeneratorConfig:
     """Sampling ranges for random technologies.
 
-    Coefficients are small rationals (numerator up to numerator_max over a
-    denominator from `denominators`) so switch-point polynomials stay low
+    Coefficients are small rationals (numerator up to NUMERATOR_MAX over a
+    denominator from DENOMINATORS) so switch-point polynomials stay low
     degree and isolation stays fast. `structure` controls whether the two
     techniques' positive lags are forced disjoint or drawn freely.
     """
@@ -61,8 +66,6 @@ class GeneratorConfig:
     trials: int
     horizon_min: int = 3
     horizon_max: int = 5
-    numerator_max: int = 12
-    denominators: tuple[int, ...] = (1, 2, 4)
     structure: str = "disjoint"
     domain_lo: Fraction = Fraction(0)
     domain_hi: Fraction = Fraction(2)
@@ -76,8 +79,6 @@ class GeneratorConfig:
             raise ValueError("horizon range is empty")
         if self.structure not in ("disjoint", "free"):
             raise ValueError(f"unknown support structure {self.structure!r}")
-        if self.numerator_max < 1 or not self.denominators:
-            raise ValueError("coefficient ranges must be nonempty")
 
 
 def _planted_two_switch(rng: random.Random, horizon: int) -> list[list[Fraction]]:
@@ -116,7 +117,7 @@ def generate_technology(cfg: GeneratorConfig, trial_index: int) -> TechnologySet
     horizon = rng.randint(cfg.horizon_min, cfg.horizon_max)
 
     def coeff() -> Fraction:
-        return Fraction(rng.randint(1, cfg.numerator_max), rng.choice(cfg.denominators))
+        return Fraction(rng.randint(1, NUMERATOR_MAX), rng.choice(DENOMINATORS))
 
     labors: list[list[Fraction]]
     if cfg.structure == "disjoint":
@@ -172,32 +173,27 @@ class FalsificationReport:
     grid_mismatches: int
 
     def to_dict(self) -> dict:
+        """The config spelled out, then every other field by name, tuples
+        as lists."""
         cfg = self.config
-        return {
+        out = {
             "config": {
                 "seed": cfg.seed,
                 "trials": cfg.trials,
                 "horizon": [cfg.horizon_min, cfg.horizon_max],
-                "numerator_max": cfg.numerator_max,
-                "denominators": list(cfg.denominators),
+                "numerator_max": NUMERATOR_MAX,
+                "denominators": list(DENOMINATORS),
                 "structure": cfg.structure,
                 "disjoint_mix": "40% planted two-switch, 30% bracketed single "
                 "lag, 30% random split",
                 "domain": [str(cfg.domain_lo), str(cfg.domain_hi)],
                 "trial_seed_mixing": "splitmix64(seed xor splitmix64(trial))",
-            },
-            "trials_run": self.trials_run,
-            "reswitching_found": self.reswitching_found,
-            "reswitching_trials": list(self.reswitching_trials),
-            "complementary_confirmed": self.complementary_confirmed,
-            "missing_complementary": list(self.missing_complementary),
-            "theorem_verified": self.theorem_verified,
-            "theorem_precondition_unmet": self.theorem_precondition_unmet,
-            "counterexamples": list(self.counterexamples),
-            "tangencies_seen": self.tangencies_seen,
-            "grid_checks": self.grid_checks,
-            "grid_mismatches": self.grid_mismatches,
+            }
         }
+        for f in fields(self)[1:]:  # every field after config
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

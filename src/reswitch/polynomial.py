@@ -425,10 +425,6 @@ def _isolate_irrational(
     return out
 
 
-def _parity_of(k: int) -> str:
-    return ODD if k % 2 else EVEN
-
-
 def _isolate(
     p: Polynomial, lo: Fraction, hi: Optional[Fraction]
 ) -> list[RootInterval]:
@@ -454,24 +450,17 @@ def _isolate(
     bound = hi if hi is not None else max(lo + 1, _cauchy_bound(quotient))
     brackets = _isolate_irrational(quotient, lo, bound, rational)
 
-    def parity_exact(r: Fraction) -> str:
+    def certified(a: Fraction, b: Fraction) -> RootInterval:
+        """The root at a == b, or in the bracket (a, b), with the parity of
+        its multiplicity k in p: the Yun factor of multiplicity k vanishes
+        at the exact root, or changes sign across the bracket."""
         for f, k in factors:
-            if _sign_at(f, r) == 0:
-                return _parity_of(k)
-        raise AssertionError("exact root not in any square-free factor")
+            if (_sign_at(f, a) == 0) if a == b else _changes_sign(f, a, b):
+                return RootInterval(a, b, ODD if k % 2 else EVEN)
+        raise AssertionError("root not in any square-free factor")
 
-    def parity_bracket(a: Fraction, b: Fraction) -> str:
-        for f, k in factors:
-            if _changes_sign(f, a, b):
-                return _parity_of(k)
-        raise AssertionError("bracketed root not in any square-free factor")
-
-    found: list[RootInterval] = []
-    for r in rational:
-        if in_domain(r):
-            found.append(RootInterval(r, r, parity_exact(r)))
-    for a, b in brackets:
-        found.append(RootInterval(a, b, parity_bracket(a, b)))
+    found = [certified(r, r) for r in rational if in_domain(r)]
+    found += [certified(a, b) for a, b in brackets]
     found.sort(key=lambda iv: (iv.lo, iv.hi))
     return found
 

@@ -144,19 +144,21 @@ class ReswitchReport:
     tangencies: tuple[Tangency, ...]
 
 
-def _check_domain(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def _domain_start(lo: Fraction) -> Fraction:
+    """lo as a Fraction, rejected when x = 1 + lo is not positive."""
     # Fraction(Fraction) copies through the slow numbers-ABC path
-    lo, hi = (v if type(v) is Fraction else Fraction(v) for v in (lo, hi))
+    lo = lo if type(lo) is Fraction else Fraction(lo)
     if lo <= -1:
         raise DomainError(f"domain start {lo} is at or below -100%")
+    return lo
+
+
+def _check_domain(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    lo = _domain_start(lo)
+    hi = hi if type(hi) is Fraction else Fraction(hi)
     if hi <= lo:
         raise DomainError("domain must have positive width")
     return lo, hi
-
-
-def _pad_pair(a: Technique, b: Technique) -> tuple[Technique, Technique]:
-    horizon = max(a.horizon, b.horizon)
-    return a.padded(horizon), b.padded(horizon)
 
 
 def _clip_bracket(
@@ -502,11 +504,8 @@ def dominance_map(
         cuts[0].narrow(lambda a, b: a <= xlo)
         cuts[-1].narrow(lambda a, b: b >= xhi)
 
-    def scaled_costs(x: Fraction) -> list[int]:
-        return [_scaled_value(rows[r.name], x.numerator, x.denominator) for r in reps]
-
     def min_owners(x: Fraction) -> list[Technique]:
-        values = scaled_costs(x)
+        values = [_scaled_value(rows[r.name], x.numerator, x.denominator) for r in reps]
         best = min(values)
         return [r for r, c in zip(reps, values) if c == best]
 
@@ -540,9 +539,7 @@ def dominance_map(
         bracket (an even tie at the cut, say)."""
         if cut.exact is not None:
             x = cut.exact
-            values = scaled_costs(x)
-            best = min(values)  # the anchor's cost
-            ties = named({r.name for r, c in zip(reps, values) if c == best})
+            ties = named({r.name for r in min_owners(x)})
             cost = analysis._tie_cost(anchor.name, x)
             cert = RootInterval(x - 1, x - 1, ODD)
             return Boundary(x - 1, x - 1, cert, ties, cost, cost)
@@ -613,15 +610,10 @@ def detect_reswitching(
     """Dominance map plus recurrence verdict: does any technique win on two
     non-adjacent segments? `analysis` is handed to `dominance_map`."""
     dom = dominance_map(ts, lo, hi, analysis=analysis)
-    recurring = None
-    seen: list[str] = []
-    for name in dom.winners:
-        if seen and seen[-1] == name:
-            continue
-        if name in seen:
-            recurring = name
-            break
-        seen.append(name)
+    # a segment opens only where the gap winner changes, so no two adjacent
+    # segments share a winner and any repeated winner recurs
+    winners = dom.winners
+    recurring = next((w for k, w in enumerate(winners) if w in winners[:k]), None)
     return ReswitchReport(recurring is not None, recurring, dom, dom.tangencies)
 
 
@@ -632,7 +624,8 @@ def cost_ratio_curve(
     wage: Fraction = Fraction(1),
 ) -> list[tuple[Fraction, Fraction]]:
     """Exact cost ratio numerator/denominator at each grid interest rate."""
-    num, den = _pad_pair(numerator, denominator)
+    horizon = max(numerator.horizon, denominator.horizon)
+    num, den = numerator.padded(horizon), denominator.padded(horizon)
     out = []
     for i in interest_grid:
         below = den.cost_at(wage, i)

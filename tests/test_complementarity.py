@@ -15,7 +15,12 @@ from reswitch import (
     find_complementary_pair,
     samuelson_example,
 )
-from reswitch.complementarity import GRID_HI, GRID_LO, _grid_values
+from reswitch.complementarity import (
+    GRID_HI,
+    GRID_LO,
+    ComplementarityWitness,
+    _grid_values,
+)
 from reswitch.harness import GeneratorConfig, generate_technology
 
 from oracles import log_grid
@@ -224,6 +229,60 @@ class TestGridFallback:
                 if self.oracle_has_witness(ts, j, k):
                     assert got is not None
         assert exercised >= 1
+
+    @staticmethod
+    def scan_reduced_grid(ts, j, k, values):
+        """The first witness of a brute-force scan of values**horizon: the
+        other axes in lag order, each lexicographically, p_j innermost."""
+        horizon = ts.horizon
+        axes = [t for t in range(1, horizon + 1) if t != j]
+        for combo in iter_product(values, repeat=len(axes)):
+            fixed = dict(zip(axes, combo))
+            prev = prev_prices = None
+            for pj in values:
+                prices = tuple(pj if t == j else fixed[t] for t in range(1, horizon + 1))
+                choice = chosen_input_vector(ts, prices)
+                if (
+                    prev is not None
+                    and not prev.is_tie
+                    and not choice.is_tie
+                    and choice.vector[k - 1] < prev.vector[k - 1]
+                ):
+                    return ComplementarityWitness(
+                        (j, k), prev_prices, pj, prev.vector, choice.vector,
+                        prev.technique, choice.technique,
+                    )
+                prev, prev_prices = choice, prices
+        return None
+
+    @pytest.mark.parametrize("horizon, cap", [(4, 5**4), (4, 5**4 - 1), (5, 3**5), (6, 50)])
+    def test_reduced_grid_matches_brute_force(self, monkeypatch, horizon, cap):
+        # past the cap the grid drops to the most points per axis whose
+        # product fits, and to no fewer than 2
+        monkeypatch.setattr(complementarity, "_GRID_CAP", cap)
+        per_axis = max(
+            [n for n in range(2, complementarity.GRID_POINTS + 1) if n**horizon <= cap],
+            default=2,
+        )
+        values = log_grid(per_axis, GRID_LO, GRID_HI)
+        rng = random.Random(horizon * 1000 + cap)
+        found = none = 0
+        for _ in range(3):
+            profiles = set()  # three distinct nonzero profiles: the grid search
+            while len(profiles) < 3:
+                prof = tuple(F(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(horizon))
+                if any(prof):
+                    profiles.add(prof)
+            ts = TechnologySet([Technique(f"t{n}", p) for n, p in enumerate(sorted(profiles))])
+            for j in range(1, horizon + 1):
+                for k in range(1, horizon + 1):
+                    if j == k:
+                        continue
+                    want = self.scan_reduced_grid(ts, j, k, values)
+                    assert complementarity_witness(ts, (j, k)) == want
+                    found += want is not None
+                    none += want is None
+        assert found >= 1 and none >= 1
 
     def test_exact_grid_matches_float_definition(self):
         for points in range(2, 51):

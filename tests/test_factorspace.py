@@ -20,6 +20,7 @@ from reswitch import (
     EVEN,
     FactorGroup,
     GeneratorConfig,
+    MenuAnalysis,
     NoRootError,
     NonScalarComplementError,
     NotAggregableError,
@@ -271,6 +272,16 @@ class TestDomainStart:
     def test_rejected_when_called(self, call):
         with pytest.raises(DomainError, match="is at or below -100%"):
             call()
+
+    @pytest.mark.parametrize("lo", [F(-1), F(-3, 2), -2])
+    def test_same_message_as_a_menu_analysis(self, lo):
+        # both read the one domain-start check in switching
+        with pytest.raises(DomainError) as menu_err:
+            MenuAnalysis(TS, lo)
+        with pytest.raises(DomainError) as curve_err:
+            curve_minimum(TS, G13, lo)
+        message = f"domain start {lo} is at or below -100%"
+        assert str(curve_err.value) == str(menu_err.value) == message
 
 
 class TestVerifySingleSwitch:

@@ -7,12 +7,14 @@ thresholds in `harness.py`, where `rng.random()` (a float in [0, 1)) is
 compared against a literal to pick a shape; no float reaches a result.
 
 The README's Python examples run against the package source, so the public
-surface they show stays in place.
+surface they show stays in place, and every function the package defines is
+used or shown somewhere, so no dead helper lingers.
 """
 
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -111,3 +113,25 @@ def test_readme_python_examples_run():
     for n, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {n}", "exec"), {})
     assert Path(sys.modules["reswitch"].__file__).parent == PACKAGE
+
+
+def test_every_function_is_referenced():
+    # a name counts as referenced when it occurs in src, tests, bench or the
+    # README more often than it is defined with `def`; dunders run implicitly
+    texts = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "bench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    words = Counter(w for text in texts for w in re.findall(r"\w+", text))
+    defs = Counter(d for text in texts for d in re.findall(r"\bdef\s+(\w+)", text))
+    unreferenced = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and words[node.name] <= defs[node.name]
+    )
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"

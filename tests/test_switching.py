@@ -6,7 +6,7 @@ import time
 import weakref
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ import reswitch.polynomial as polynomial
 import reswitch.switching as switching
 from reswitch import (
     DivisionByZeroError,
+    DomainError,
     IdenticalTechniquesError,
     MenuAnalysis,
     ModelFormatError,
@@ -518,6 +519,26 @@ class TestReswitchDetection:
         assert found >= 1  # the property was actually exercised
 
 
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [
+            (F(-1), F(2), "domain start -1 is at or below -100%"),
+            (-2, 1, "domain start -2 is at or below -100%"),
+            (F(1), F(1), "domain must have positive width"),
+            (F(1, 2), F(-1, 2), "domain must have positive width"),
+        ],
+        ids=["lo_minus_one", "lo_below", "empty", "reversed"],
+    )
+    @pytest.mark.parametrize(
+        "call", [MenuAnalysis, dominance_map, detect_reswitching], ids=lambda f: f.__name__
+    )
+    def test_bad_domain_raises(self, call, lo, hi, message):
+        with pytest.raises(DomainError) as err:
+            call(samuelson_example(), lo, hi)
+        assert str(err.value) == message
+
+
 def _tangent_pair(rng: random.Random, horizon: int) -> list[tuple[F, ...]]:
     """Two profiles whose cost difference is c x^j (x - r)^2, or
     c x (x^2 - m)^2 at horizon 5, on top of a shared random base."""
@@ -693,6 +714,69 @@ def _horizon5_menu(size: int, seed: int) -> TechnologySet:
         if any(prof):
             profiles.append(prof)
     return TechnologySet([Technique(f"t{k}", p) for k, p in enumerate(profiles)])
+
+
+class TestSegmentWinners:
+    """dominance_map opens a segment only where the gap winner changes, so
+    detect_reswitching reads a recurrence as any repeated winner."""
+
+    @staticmethod
+    def _edge_domains(ts: TechnologySet) -> list[tuple[F, F]]:
+        """[0, 2], and two domains with an exact odd tie of some pair on an
+        edge, where the gap next to that edge is empty."""
+        analysis = MenuAnalysis(ts, F(0), F(2))
+        exact = sorted(
+            {
+                p.interest_exact
+                for u, v in combinations(analysis.reps, 2)
+                for p in analysis.switch_points(u, v)
+                if p.is_exact
+            }
+        )
+        domains = [(F(0), F(2))]
+        if exact:
+            e = exact[len(exact) // 2]
+            domains += [(e, e + 1), (e - F(1, 2), e)]
+        return domains
+
+    def test_adjacent_segments_never_share_a_winner(self):
+        builders = [
+            lambda rng: _menu_with_clones(rng)[0],
+            _menu_with_tangencies,
+            _three_way_tie_menu,
+            _planted_exact_tie_menu,
+        ]
+        edge_ties = recurrences = 0
+        for seed in range(40):
+            for build in builders:
+                ts = build(random.Random(seed))
+                for lo, hi in self._edge_domains(ts):
+                    report = detect_reswitching(ts, lo, hi)
+                    winners = report.map.winners
+                    assert all(u != v for u, v in zip(winners, winners[1:]))
+                    # brute force: collapse runs, then the first name seen twice
+                    runs = [name for name, _ in groupby(winners)]
+                    recurring = next(
+                        (name for k, name in enumerate(runs) if name in runs[:k]), None
+                    )
+                    assert report.recurring == recurring
+                    assert report.reswitching == (recurring is not None)
+                    edge_ties += (lo, hi) != (F(0), F(2))
+                    recurrences += recurring is not None
+        assert edge_ties >= 150 and recurrences >= 20
+
+    def test_nested_recurrence_reads_the_first_repeat(self):
+        # b - a = x (x - 5/4)(x - 5/2) and c - b = x (x - 3/2)(x - 2): c wins
+        # inside b's interval, so b recurs (at 100%) before a does (at 150%)
+        a = Technique("a", (0, 10, 0))
+        b = Technique("b", (F(25, 8), F(25, 4), 1))
+        c = Technique("c", (F(49, 8), F(11, 4), 2))
+        report = detect_reswitching(TechnologySet([a, b, c]), F(0), F(2))
+        assert report.map.winners == ("a", "b", "c", "b", "a")
+        assert [x.interest_exact for x in report.map.boundaries] == [
+            F(1, 4), F(1, 2), F(1), F(3, 2)
+        ]
+        assert report.reswitching and report.recurring == "b"
 
 
 class TestManyTechniques:
