@@ -8,16 +8,13 @@ denominators and divided by their content.
 
 The isolation routine combines three exact ingredients:
 
-* multiplicity parity comes from the Yun square-free decomposition, since a
-  technique tie only flips dominance when the crossing has odd multiplicity;
-  the same pass yields the square-free part, so each isolation takes a
-  single gcd(p, p'). Yun and the gcd run on primitive integer vectors: each
-  remainder is a pseudo-remainder (multiplier |lc|**(delta+1), positive)
-  divided by its content, a positive multiple of the remainder over the
-  rationals, and each quotient by a primitive divisor is exact in integers
-  by Gauss's lemma. A root's parity is read from the signs of the integer
-  factors, by homogenized Horner. These integer routines are the package's
-  only gcd and square-free code;
+* the square-free part f / gcd(f, f') is the one gcd each isolation takes.
+  The gcd runs on primitive integer vectors: each remainder is a
+  pseudo-remainder (multiplier |lc|**(delta+1), positive) divided by its
+  content, a positive multiple of the remainder over the rationals, and
+  each quotient by a primitive divisor is exact in integers by Gauss's
+  lemma. These integer routines are the package's only gcd and square-free
+  code;
 * rational roots are found by the rational-root theorem on the square-free
   integer vector and returned as degenerate (point) intervals: each
   candidate num/den is tested in integers, by homogenized Horner after cheap
@@ -26,8 +23,14 @@ The isolation routine combines three exact ingredients:
 * the remaining (irrational) roots, those of the integer quotient, are
   bracketed by Sturm-count bisection, so the interval count is provably
   exhaustive. The Sturm chain is the same primitive remainder sequence that
-  the gcd and Yun take, each remainder negated, so every division in this
-  module runs on integer vectors.
+  the gcd takes, each remainder negated, so every division in this module
+  runs on integer vectors.
+
+Each root's multiplicity parity, which tells a technique switch (odd: the
+cost difference changes sign) from a tangency (even), is read from its
+certificate by homogenized Horner on p's own integer vector: whether p
+changes sign across a bracket, and at an exact root the order of the first
+derivative of p that does not vanish there (`_vanishing_order`).
 
 Every interval produced contains exactly one distinct real root of the input
 polynomial and has rational, non-root endpoints (except the degenerate exact
@@ -192,36 +195,6 @@ def _squarefree_ints(f: list[int]) -> list[int]:
     return _exact_quotient(f, _primitive_gcd(f, _derivative_ints(f)))
 
 
-def _yun_ints(f: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
-    """Yun's algorithm on a primitive integer vector f of degree >= 1: the
-    square-free part f / gcd(f, f') and the decomposition [(f_k, k)], every
-    vector primitive with a positive leading coefficient.
-
-    Each quotient is exact by Gauss's lemma. c and d carry one common
-    positive scale, which every step keeps: d / a - (c / a)' is again Yun's
-    d at the scale of c / a.
-    """
-    if f[-1] < 0:
-        f = [-c for c in f]
-    df = _derivative_ints(f)
-    g = _primitive_gcd(f, df)
-    if len(g) == 1:
-        return f, [(f, 1)]
-    out = []
-    sf = c = _exact_quotient(f, g)
-    d = _subtract_ints(_exact_quotient(df, g), _derivative_ints(c))
-    k = 1
-    while len(c) > 1:
-        a = _primitive_gcd(c, d)
-        if len(a) > 1:
-            out.append((a, k))
-        c_next = _exact_quotient(c, a)
-        d = _subtract_ints(_exact_quotient(d, a), _derivative_ints(c_next))
-        c = c_next
-        k += 1
-    return sf, out
-
-
 def sturm_chain(p: Polynomial) -> list[Polynomial]:
     """The Sturm sequence of p, each member primitive in integers.
 
@@ -370,6 +343,17 @@ def _narrow(
     return a, b
 
 
+def _vanishing_order(f: Sequence[int], x: Fraction) -> tuple[int, int]:
+    """(k, s) for a nonzero integer vector f: k is the order of the first
+    derivative of f that does not vanish at x (the multiplicity of a root
+    x), and s a value with that derivative's sign at x."""
+    k = 0
+    while (s := _sign_at(f, x)) == 0:
+        f = _derivative_ints(f)
+        k += 1
+    return k, s
+
+
 def _changes_sign(f: Sequence[int], a: Fraction, b: Fraction) -> bool:
     fa, fb = _sign_at(f, a), _sign_at(f, b)
     return (fa < 0 < fb) or (fb < 0 < fa)
@@ -440,7 +424,8 @@ def _isolate(
     if hi is not None:
         hi = Fraction(hi)
 
-    sf, factors = _yun_ints(_int_vector(p))
+    f = _int_vector(p)
+    sf = _squarefree_ints(f)
 
     def in_domain(r: Fraction) -> bool:
         return r >= lo and (hi is None or r <= hi)
@@ -452,12 +437,11 @@ def _isolate(
 
     def certified(a: Fraction, b: Fraction) -> RootInterval:
         """The root at a == b, or in the bracket (a, b), with the parity of
-        its multiplicity k in p: the Yun factor of multiplicity k vanishes
-        at the exact root, or changes sign across the bracket."""
-        for f, k in factors:
-            if (_sign_at(f, a) == 0) if a == b else _changes_sign(f, a, b):
-                return RootInterval(a, b, ODD if k % 2 else EVEN)
-        raise AssertionError("root not in any square-free factor")
+        its multiplicity in p: the order of the first derivative of p not
+        vanishing at the exact root, or whether p changes sign across the
+        bracket, which holds no other root of p and has non-root ends."""
+        odd = _vanishing_order(f, a)[0] % 2 if a == b else _changes_sign(f, a, b)
+        return RootInterval(a, b, ODD if odd else EVEN)
 
     found = [certified(r, r) for r in rational if in_domain(r)]
     found += [certified(a, b) for a, b in brackets]

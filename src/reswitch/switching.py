@@ -62,13 +62,13 @@ from .polynomial import (
     _bisection_poly,
     _cauchy_bound,
     _changes_sign,
-    _derivative_ints,
     _narrow,
     _primitive_gcd,
     _scaled_value,
     _sign_at,
     _squarefree_ints,
     _subtract_ints,
+    _vanishing_order,
     isolate_real_roots,
     refine_root,
 )
@@ -226,11 +226,7 @@ def _sign_above(f: list[int], iv: RootInterval) -> int:
     """A value with the sign of f just above its root certified by iv: at
     the bracket's upper end, or at an exact root that of the first
     derivative of f not vanishing there."""
-    if not iv.is_exact:
-        return _sign_at(f, iv.hi)
-    while (sign := _sign_at(f, iv.lo)) == 0:
-        f = _derivative_ints(f)
-    return sign
+    return _vanishing_order(f, iv.lo)[1] if iv.is_exact else _sign_at(f, iv.hi)
 
 
 def _to_interest(iv: RootInterval) -> RootInterval:
@@ -530,6 +526,14 @@ def dominance_map(
         # aliases follow their representative; names stay in menu order
         return tuple(t.name for t in ts.techniques if rep_of[t.name] in tied)
 
+    def exact_boundary(x: Fraction, owners: list[Technique]) -> Boundary:
+        """The boundary at an exact cut x, whose tie set is owners, the
+        representatives at the minimum cost there."""
+        ties = named({r.name for r in owners})
+        cost = analysis._tie_cost(owners[0].name, x)
+        cert = RootInterval(x - 1, x - 1, ODD)
+        return Boundary(x - 1, x - 1, cert, ties, cost, cost)
+
     def boundary_from(cut: _Cut, anchor: Technique) -> Boundary:
         """The boundary at a cut where the anchor is a cheapest technique.
 
@@ -538,11 +542,7 @@ def dominance_map(
         representative whose difference with the anchor keeps a root in the
         bracket (an even tie at the cut, say)."""
         if cut.exact is not None:
-            x = cut.exact
-            ties = named({r.name for r in min_owners(x)})
-            cost = analysis._tie_cost(anchor.name, x)
-            cert = RootInterval(x - 1, x - 1, ODD)
-            return Boundary(x - 1, x - 1, cert, ties, cost, cost)
+            return exact_boundary(cut.exact, min_owners(cut.exact))
         ties = named(
             {
                 r.name
@@ -571,7 +571,7 @@ def dominance_map(
             cut = cuts[idx] if idx < len(cuts) else cuts[-1]
             owners = min_owners(cut.exact)
             if len(owners) > 1:
-                boundaries.append(boundary_from(cut, owners[0]))
+                boundaries.append(exact_boundary(cut.exact, owners))
             continue
         if current is None:
             current = win

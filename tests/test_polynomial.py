@@ -38,7 +38,7 @@ from reswitch.polynomial import (
     _int_vector,
     _primitive_gcd,
     _squarefree_ints,
-    _yun_ints,
+    _vanishing_order,
     sturm_chain,
 )
 from reswitch.switching import _clip_bracket
@@ -57,6 +57,18 @@ def poly_product(*factors):
 def monic(coeffs):
     """A coefficient list divided by its leading coefficient, in Fractions."""
     return [F(c) / coeffs[-1] for c in coeffs]
+
+
+def oracle_parity(factors, iv):
+    """The multiplicity parity of the root that iv certifies, read from the
+    factors [(f_k, k)] of `fraction_yun`: each f_k is square-free, so the
+    root's f_k is the one factor that vanishes at the exact root, or that
+    changes sign across the bracket."""
+    if iv.is_exact:
+        (k,) = [k for f, k in factors if _poly_eval(f, iv.lo) == 0]
+    else:
+        (k,) = [k for f, k in factors if _poly_eval(f, iv.lo) * _poly_eval(f, iv.hi) < 0]
+    return ODD if k % 2 else EVEN
 
 
 class TestArithmetic:
@@ -94,14 +106,17 @@ class TestStructure:
 
     def test_squarefree_decomposition(self):
         p = poly_product([0, 1], [-2, 1], [-2, 1])  # x (x-2)^2
-        sf, factors = _yun_ints(_int_vector(p))
-        assert factors == [([0, 1], 1), ([-2, 1], 2)]
-        assert sf == _squarefree_ints(_int_vector(p)) == [0, -2, 1]  # x (x-2)
+        sf = _squarefree_ints(_int_vector(p))
+        assert sf == [0, -2, 1]  # x (x-2)
+        factors = [([0, 1], 1), ([-2, 1], 2)]
         assert fraction_yun(p.coeffs) == (sf, factors)
+        roots = isolate_roots_closed(p, F(-1), F(3))
+        assert [(r.lo, r.parity) for r in roots] == [(0, ODD), (2, EVEN)]
+        assert [r.parity for r in roots] == [oracle_parity(factors, r) for r in roots]
 
     def test_isolation_takes_one_gcd_on_squarefree_input(self, monkeypatch):
-        # Yun runs its gcds on integer vectors, by the primitive remainder
-        # sequence
+        # the square-free part's gcd runs on integer vectors, by the
+        # primitive remainder sequence
         calls = []
         original = polynomial._primitive_gcd
 
@@ -114,9 +129,28 @@ class TestStructure:
         assert len(roots) == 1 and not roots[0].is_exact
         assert len(calls) == 1
 
+    def test_isolation_takes_one_gcd_on_repeated_factors(self, monkeypatch):
+        # parities come from the certificates, so repeated factors cost no
+        # gcd beyond the square-free part's
+        calls = []
+        original = polynomial._primitive_gcd
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(polynomial, "_primitive_gcd", counting)
+        # (x - 1)^3 (x^3 - 2)^2 (2x + 3)^4
+        p = poly_product(*[[-1, 1]] * 3, *[[-2, 0, 0, 1]] * 2, *[[3, 2]] * 4)
+        roots = isolate_roots_closed(p, F(-3), F(3))
+        assert [(r.is_exact, r.parity) for r in roots] == [
+            (True, EVEN), (True, ODD), (False, EVEN)
+        ]
+        assert len(calls) == 1
+
     def test_sturm_chain_runs_on_the_integer_remainder_sequence(self, monkeypatch):
         # the chain's remainders are the same integer pseudo-remainders that
-        # gcd and Yun take; no rational long division
+        # the gcd takes; no rational long division
         calls = []
         original = polynomial._pseudo_remainder
 
@@ -130,7 +164,11 @@ class TestStructure:
         assert len(calls) == 4
 
     def test_yun_square_free_part_matches_gcd_quotient(self):
+        # the integer square-free part against the gcd quotient and the
+        # fraction Yun oracle's; each root's parity against the oracle's
+        # multiplicities
         rng = random.Random(31)
+        parities = Counter()
         for _ in range(40):
             factors = [[rng.randint(-4, 4), rng.randint(1, 3)] for _ in range(3)]
             scale = [rng.choice((-3, 2, 5, F(1, 2)))]
@@ -138,13 +176,17 @@ class TestStructure:
             f = _int_vector(p)
             g = fraction_gcd(p.coeffs, _fraction_derivative(p.coeffs))
             quotient, _ = _fraction_divmod(p.coeffs, g)
-            sf, factors = _yun_ints(f)
-            assert monic(_squarefree_ints(f)) == monic(sf) == monic(quotient)
-            assert fraction_yun(p.coeffs) == (monic(sf), [(monic(a), k) for a, k in factors])
+            sf, factors = fraction_yun(p.coeffs)
+            assert monic(_squarefree_ints(f)) == sf == monic(quotient)
             product = [1]
             for a, k in factors:
                 product = int_product([product] + [a] * k)
             assert monic(product) == monic(p.coeffs)
+            bound = _cauchy_bound(f)
+            for iv in isolate_roots_closed(p, -bound, bound):
+                assert iv.is_exact and iv.parity == oracle_parity(factors, iv)
+                parities[iv.parity] += 1
+        assert parities[ODD] >= 40 and parities[EVEN] >= 30, parities
 
     def test_cauchy_bound_contains_roots(self):
         p = poly(-6, 11, -6, 1)
@@ -331,8 +373,10 @@ class TestRationalRoots:
 
 
 class TestIntegerAlgebra:
-    """The gcd and Yun run on primitive integer vectors; the results must
-    equal Euclid and Yun over the rationals up to a positive scale."""
+    """The gcd and the square-free part run on primitive integer vectors;
+    they must equal Euclid's gcd and Yun's square-free part over the
+    rationals up to a positive scale, and each isolated root's parity the
+    multiplicity that Yun's decomposition gives it."""
 
     KINDS = ("rational", "irrational", "complex", "cubic")
 
@@ -388,11 +432,13 @@ class TestIntegerAlgebra:
             if len(f) == 1:
                 assert factors == []
                 continue
-            yun_sf, yun_factors = _yun_ints(f)
-            assert monic(yun_sf) == sf
-            assert [(monic(a), k) for a, k in yun_factors] == factors
+            bound = _cauchy_bound(f)
+            for iv in isolate_roots_closed(Polynomial(p), -bound, bound):
+                assert iv.parity == oracle_parity(factors, iv)
+                seen[("exact " if iv.is_exact else "bracket ") + iv.parity] += 1
         kinds = ("zero", "constant", "negative_lead", "fraction", "squared", "cubed")
-        for kind in kinds + self.KINDS:
+        parities = ("exact odd", "exact even", "bracket odd", "bracket even")
+        for kind in kinds + self.KINDS + parities:
             assert seen[kind] >= 20, (kind, seen)
 
     def test_sturm_chain_matches_fraction_oracle(self):
@@ -627,3 +673,156 @@ class TestIntegerBisection:
             lambda x: x * x - 2, root.lo, root.hi, F(1, 10**9)
         )
         assert calls == []
+
+
+class TestVanishingOrder:
+    def test_order_and_sign_at_roots_of_each_multiplicity(self):
+        # p = scale * (den x - num)^m * (x - 5/2) * (x^2 + 1): the first
+        # derivative not vanishing at num/den is the m-th, whose sign the
+        # Fraction oracle reads
+        signs = set()
+        for m in range(1, 7):
+            for root in (F(0), F(2), F(-3, 2), F(7, 3)):
+                for scale in (1, -2):
+                    factors = [[scale], [-5, 2], [1, 0, 1]]
+                    factors += [[-root.numerator, root.denominator]] * m
+                    f = int_product(factors)
+                    k, sign = _vanishing_order(f, root)
+                    derivative = f
+                    for _ in range(m):
+                        assert _poly_eval(derivative, root) == 0
+                        derivative = _fraction_derivative(derivative)
+                    assert k == m
+                    assert (sign > 0) == (_poly_eval(derivative, root) > 0) != (sign < 0)
+                    signs.add((m, sign > 0))
+        assert len(signs) == 12
+        # off the roots, the order is 0 and the sign is f's own
+        assert _vanishing_order([-2, 0, 1], F(3, 2)) == (0, 1)
+        assert _vanishing_order([-2, 0, 1], F(1)) == (0, -1)
+
+
+class TestSympyOracle:
+    """Every certificate of `isolate_real_roots` and `isolate_roots_closed`
+    against sympy, an independent implementation: the exact roots and their
+    multiplicities from `Poly.sqf_list` and `ground_roots`, and each
+    irrational root from `intervals` of its square-free factor with the
+    rational roots divided out."""
+
+    @staticmethod
+    def product(rng, seen):
+        """A seeded product of linear factors (zero, negative and fractional
+        roots), x^2 - m and a root-free quadratic, each to a power 1-5, times
+        a scale of either sign, often fractional."""
+        scale = F(rng.choice((1, -1, 3, -2)), rng.choice((1, 2, 5)))
+        out, degree = [scale], 0
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("zero", "rational", "rational", "irrational", "irrational", "complex"))
+            if kind == "zero":
+                f = [0, 1]
+            elif kind == "rational":
+                f = [F(rng.randint(-7, 7), rng.choice((1, 2, 3))), 1]
+            elif kind == "irrational":
+                f = [-rng.choice((2, 3, 5, 7)), 0, rng.choice((1, 2, 3))]
+            else:
+                f = [rng.randint(1, 4), rng.randint(-1, 1), 2]
+            power = rng.randint(1, 5)
+            if degree + power * (len(f) - 1) > 16:
+                continue
+            degree += power * (len(f) - 1)
+            seen[kind] += 1
+            seen[f"power {power}"] += 1
+            seen["negative_root"] += kind == "rational" and f[0] > 0
+            for _ in range(power):
+                out = int_product([out, f])
+        seen["negative_lead"] += out[-1] < 0
+        seen["fraction"] += any(F(c).denominator != 1 for c in out)
+        return out
+
+    @staticmethod
+    def sympy_roots(sympy, coeffs):
+        """({exact root: multiplicity}, [(a, b, k, g)]) from sympy: each
+        irrational root lies strictly inside (a, b) and is the only root
+        there of g, a square-free factor with no rational roots, of
+        multiplicity k."""
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(
+            [sympy.Rational(F(c).numerator, F(c).denominator) for c in reversed(coeffs)],
+            x,
+            domain=sympy.QQ,
+        )
+        exact, irrational = {}, []
+        for g, k in poly.sqf_list()[1]:
+            for r in g.ground_roots():
+                exact[F(int(r.p), int(r.q))] = k
+                g = g.exquo(sympy.Poly(x - r, x, domain=sympy.QQ))
+            for (a, b), _ in g.intervals():
+                irrational.append((F(int(a.p), int(a.q)), F(int(b.p), int(b.q)), k, g))
+        return exact, irrational
+
+    @staticmethod
+    def locate(g, a, b, brackets):
+        """The index of the bracket (c, d) holding the root of g in (a, b),
+        or None: (a, b) is bisected on g until it lies inside one bracket or
+        outside them all; every end is rational, so never the root."""
+        for _ in range(400):
+            for j, (c, d) in enumerate(brackets):
+                if c < a and b < d:
+                    return j
+            if all(b <= c or d <= a for c, d in brackets):
+                return None
+            m = (a + b) / 2
+            if (g.eval(m) > 0) == (g.eval(a) > 0):
+                a = m
+            else:
+                b = m
+        raise AssertionError("bisection did not settle")
+
+    def test_certificates_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2019)
+        seen = Counter()
+        for trial in range(240):
+            coeffs = self.product(rng, seen)
+            p = Polynomial(coeffs)
+            if p.degree == 0:
+                continue
+            exact, irrational = self.sympy_roots(sympy, coeffs)
+            bound = _cauchy_bound(p.coeffs)
+            rationals = sorted(exact)
+            lo = rng.choice([-bound, F(rng.randint(-8, 8), 2)] + rationals)
+            hi = rng.choice(
+                [lo + bound, lo + F(rng.randint(1, 8), 2)] + [r for r in rationals if r > lo]
+            )
+            closed = trial % 2 == 0
+            if closed:
+                found = isolate_roots_closed(p, lo, hi)
+            else:
+                hi = None if trial % 6 == 1 else hi
+                found = isolate_real_roots(p, lo, hi)
+            top = bound if hi is None else hi
+
+            def in_domain(r):
+                return lo <= r and (r <= top if closed or hi is None else r < top)
+
+            got_exact = [(iv.lo, iv.parity) for iv in found if iv.is_exact]
+            want_exact = [(r, ODD if exact[r] % 2 else EVEN) for r in rationals if in_domain(r)]
+            assert got_exact == want_exact
+            brackets = [iv for iv in found if not iv.is_exact]
+            ends = [(iv.lo, iv.hi) for iv in brackets]
+            hits = Counter()
+            for a, b, k, g in irrational:
+                j = self.locate(g, a, b, ends)
+                assert (j is None) == (self.locate(g, a, b, [(lo, top)]) is None)
+                if j is not None:
+                    hits[j] += 1
+                    assert brackets[j].parity == (ODD if k % 2 else EVEN)
+            assert hits == Counter(range(len(brackets)))  # one root in each bracket
+            for iv in found:
+                seen[("exact " if iv.is_exact else "bracket ") + iv.parity] += 1
+            seen["hi root"] += any(iv.lo == hi for iv in found)
+            seen["lo root"] += any(iv.lo == lo for iv in found)
+        minimum = {"zero": 40, "negative_root": 40, "negative_lead": 40, "fraction": 60,
+                   "power 5": 20, "exact odd": 60, "exact even": 60, "bracket odd": 30,
+                   "bracket even": 20, "hi root": 10, "lo root": 10}
+        for kind, count in minimum.items():
+            assert seen[kind] >= count, (kind, seen)

@@ -198,6 +198,36 @@ class TestTangencies:
         assert not report.reswitching
         assert len(report.tangencies) == 1
 
+    def test_exact_tie_multiplicity_decides_switch_or_tangency(self):
+        # cost_a - cost_b = x (x^2 + 1) (den x - num)^m: a tie at x = num/den
+        # of odd multiplicity m switches, with sides read off the costs just
+        # below and above it; of even m it is a tangency
+        eps = F(1, 1000)
+        for m in range(1, 7):
+            for x in (F(3, 2), F(2), F(7, 3)):
+                diff = int_product([[1, 0, 1]] + [[-x.numerator, x.denominator]] * m)
+                a = Technique("a", [max(c, 0) for c in diff])
+                b = Technique("b", [max(-c, 0) for c in diff])
+                i = x - 1
+                for u, v in ((a, b), (b, a)):
+                    points = pairwise_switch_points(u, v)
+                    tangencies = pairwise_tangencies(u, v)
+                    if m % 2 == 0:
+                        assert points == []
+                        (tang,) = tangencies
+                        assert tang.interest_exact == i
+                        assert tang.certificate.parity == "even"
+                        continue
+                    assert tangencies == []
+                    (point,) = points
+                    assert point.interest_exact == i
+                    assert point.certificate.parity == "odd"
+                    below = min((u, v), key=lambda t: t.cost_at(F(1), i - eps))
+                    above = min((u, v), key=lambda t: t.cost_at(F(1), i + eps))
+                    assert below != above
+                    assert (point.cheaper_below, point.cheaper_above) == (below.name, above.name)
+                    assert point.tie_cost_exact == u.cost_at(F(1), i) == v.cost_at(F(1), i)
+
 
 class TestDominance:
     def test_champagne_reswitch_map(self):
@@ -830,7 +860,8 @@ class TestSharedPairAnalysis:
 
     def test_odd_ties_bisected_without_square_free_part(self, monkeypatch):
         # the tie at x = 2 + sqrt(2) is a simple root: every bracket of this
-        # pair is narrowed on the cost difference itself
+        # pair is narrowed on the cost difference itself, so the one
+        # square-free part taken is the isolation's own
         calls = []
         original = polynomial._squarefree_ints
 
@@ -843,7 +874,7 @@ class TestSharedPairAnalysis:
         report = detect_reswitching(ts, F(0), F(3))
         (boundary,) = report.map.boundaries
         assert boundary.interest_exact is None
-        assert calls == []
+        assert calls == [[0, -2, 4, -1]]
 
     def test_tangencies_from_dominance_pass_match_pairwise(self):
         planted = irrational = duplicated = 0
@@ -876,6 +907,25 @@ class TestSharedPairAnalysis:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["analyze", "--model", path]) == 0
         assert len(calls) == 1
+
+    def test_edge_tie_scales_each_row_once(self, monkeypatch):
+        # the champagne pair ties exactly at i = 1/2, the domain's start,
+        # where the gap is empty: the tie set and the tie cost there take
+        # one scaled value per representative and one for the cost
+        c = Technique("c", (9, 9, 9))
+        ts = TechnologySet([A, B, c])
+        calls = []
+        original = switching._scaled_value
+
+        def counting(coeffs, num, den):
+            calls.append(F(num, den))
+            return original(coeffs, num, den)
+
+        monkeypatch.setattr(switching, "_scaled_value", counting)
+        dom = dominance_map(ts, F(1, 2), F(2))
+        assert [b.interest_exact for b in dom.boundaries] == [F(1, 2), F(1)]
+        assert dom.boundaries[0].ties == ("a", "b")
+        assert calls.count(F(3, 2)) == len(ts.techniques) + 1
 
     def test_dominance_map_evaluates_no_cost_polynomial(self, monkeypatch):
         # with every pair record built first, gap winners, tie sets and tie
