@@ -11,10 +11,14 @@ Techniques with identical labor profiles are one input-demand choice, so
 each search first collapses them to the first of them in menu order; a clone
 would otherwise tie wherever its twin is cheapest, and a tie never counts as
 a switch. For two distinct profiles the switch locus is a hyperplane in
-price space, so witnesses are constructed analytically and exactly. Larger
-menus fall back to a documented deterministic grid search (rational price
-points rounded exactly from log spacing; all cost comparisons at those
-points remain exact).
+price space, so witnesses are constructed analytically and exactly, from
+the signs of one integer vector: the first profile's labor minus the
+second's, times their common denominator. A pair is complementary exactly
+when one profile has strictly more of both of its lags and strictly less
+of some other, so the search reads the first such pair off those signs and
+builds one witness. Larger menus fall back to a documented deterministic
+grid search (rational price points rounded exactly from log spacing; all
+cost comparisons at those points remain exact).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Optional, Sequence
 
 from .model import TechnologySet
 from .rationals import integer_root
+from .switching import _cost_rows
 
 GRID_LO = Fraction(1, 10)
 GRID_HI = Fraction(10)
@@ -64,8 +69,10 @@ class ComplementarityWitness:
 
     def __post_init__(self):
         j, k = self.pair
-        assert self.raised_price > self.base_prices[j - 1]
-        assert self.demand_after[k - 1] < self.demand_before[k - 1]
+        if not self.raised_price > self.base_prices[j - 1]:
+            raise ValueError(f"the raised price of input {j} is not above its base price")
+        if not self.demand_after[k - 1] < self.demand_before[k - 1]:
+            raise ValueError(f"the demand for input {k} does not drop")
 
 
 def _check_prices(ts: TechnologySet, prices: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -92,40 +99,69 @@ def chosen_input_vector(
     return TechniqueChoice(chosen.name, chosen.labor, best, tuple(owners[1:]))
 
 
+def _labor_difference(ts: TechnologySet) -> list[int]:
+    """The first technique's labor profile minus the second's, times the
+    common denominator of both, for a menu of two techniques: the
+    difference of their cost rows (`switching._cost_rows`) past the
+    constant term."""
+    (first, second), _ = _cost_rows(ts.techniques)
+    return [a - b for a, b in zip(first[1:], second[1:])]
+
+
+def _first_complementary_pair(diff: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The lexicographically first lag pair (j, k) at which the profile
+    difference diff is positive at both lags and negative at another, or
+    negative at both and positive at another."""
+    pos = [t for t, d in enumerate(diff, start=1) if d > 0]
+    neg = [t for t, d in enumerate(diff, start=1) if d < 0]
+    options = [
+        tuple(lags[:2]) for lags, other in ((pos, neg), (neg, pos)) if len(lags) > 1 and other
+    ]
+    return min(options) if options else None
+
+
 def _analytic_two_technique_witness(
-    ts: TechnologySet, j: int, k: int
+    ts: TechnologySet, diff: Sequence[int], j: int, k: int
 ) -> Optional[ComplementarityWitness]:
-    first, second = ts.techniques
-    for heavy, light in ((first, second), (second, first)):
-        if heavy.labor[j - 1] <= light.labor[j - 1]:
-            continue
-        if heavy.labor[k - 1] <= light.labor[k - 1]:
-            continue
-        delta = tuple(h - l for h, l in zip(heavy.labor, light.labor))
-        if all(d >= 0 for d in delta):
-            continue  # heavy never strictly cheaper at positive prices
-        # Base point: unit prices except a large price on the lag where the
-        # lighter technique is heavier, placed so `heavy` strictly wins.
-        m_star = min(range(len(delta)), key=lambda idx: delta[idx])
-        rest = sum(d for idx, d in enumerate(delta) if idx != m_star)
-        scale = max(Fraction(1), rest / -delta[m_star]) + 1
-        base = [Fraction(1)] * ts.horizon
-        base[m_star] = scale
-        gap = sum(p * d for p, d in zip(base, delta))
-        assert gap < 0  # heavy is strictly cheaper at the base point
-        # Raise p_j past the tie hyperplane and strictly beyond it.
-        crossing = (gap - base[j - 1] * delta[j - 1]) / -delta[j - 1]
-        raised = crossing + 1
-        return ComplementarityWitness(
-            pair=(j, k),
-            base_prices=tuple(base),
-            raised_price=raised,
-            demand_before=heavy.labor,
-            demand_after=light.labor,
-            technique_before=heavy.name,
-            technique_after=light.name,
-        )
-    return None
+    """The witness for lags j != k on two distinct profiles whose labor
+    difference, first minus second, is the integer vector diff.
+
+    The heavy technique has strictly more of inputs j and k. It is strictly
+    cheaper at some positive prices only if it has strictly less of some
+    input, so there is a witness exactly when diff is nonzero with one sign
+    at j and k and has the other sign somewhere else. Its base point has
+    unit prices except a large price on the lag m where the light technique
+    is heaviest, placed so the heavy technique strictly wins; raising p_j
+    past the tie hyperplane and strictly beyond it makes the light one win.
+    On the integer difference d of heavy minus light (d_m < 0 < d_j) the
+    scale is max(1, rest / -d_m) + 1, rest the sum of d off m, and the
+    raised price is 2 - gap / d_j, gap = rest + scale * d_m < 0 being the
+    cost difference at the base point times the common denominator.
+    """
+    heavy, light = ts.techniques
+    if diff[j - 1] < 0:
+        heavy, light = light, heavy
+        diff = [-d for d in diff]
+    if not (diff[j - 1] > 0 and diff[k - 1] > 0) or min(diff) >= 0:
+        return None
+    m = diff.index(min(diff))
+    rest = sum(diff) - diff[m]
+    scale = max(Fraction(1), Fraction(rest, -diff[m])) + 1
+    q = scale.denominator
+    gap = rest * q + scale.numerator * diff[m]  # over q
+    if gap >= 0:
+        raise AssertionError("the heavy technique is not cheaper at the base point")
+    base = [Fraction(1)] * ts.horizon
+    base[m] = scale
+    return ComplementarityWitness(
+        pair=(j, k),
+        base_prices=tuple(base),
+        raised_price=Fraction(2 * q * diff[j - 1] - gap, q * diff[j - 1]),
+        demand_before=heavy.labor,
+        demand_after=light.labor,
+        technique_before=heavy.name,
+        technique_after=light.name,
+    )
 
 
 @lru_cache(maxsize=64)
@@ -221,13 +257,19 @@ def _pair_witness(
     if len(distinct) == 1:
         return None
     if len(distinct) == 2:
-        return _analytic_two_technique_witness(distinct, j, k)
+        return _analytic_two_technique_witness(distinct, _labor_difference(distinct), j, k)
     return _grid_witness(distinct, j, k)
 
 
 def find_complementary_pair(ts: TechnologySet) -> Optional[ComplementarityWitness]:
     """First complementary pair in lexicographic (j, k) order, if any."""
     distinct = _distinct(ts)
+    if len(distinct) == 2:
+        diff = _labor_difference(distinct)
+        pair = _first_complementary_pair(diff)
+        if pair is None:
+            return None
+        return _analytic_two_technique_witness(distinct, diff, *pair)
     for j in range(1, ts.horizon + 1):
         for k in range(1, ts.horizon + 1):
             if j == k:

@@ -24,7 +24,6 @@ from typing import Optional
 from .complementarity import find_complementary_pair
 from .factorspace import support_groups, verify_single_switch
 from .model import Technique, TechnologySet, samuelson_example
-from .polynomial import _scaled_value
 from .switching import _cost_rows, detect_reswitching
 
 _MASK64 = (1 << 64) - 1
@@ -38,6 +37,10 @@ DENOMINATORS = (1, 2, 4)
 GRID_CHECK_EVERY = 100
 GRID_CHECK_POINTS = 300
 _GRID_GUARD = Fraction(1, 10**6)
+# the zero labor entry every generated profile shares
+_ZERO = Fraction(0)
+# the planted tie points to choose from: the quarters in (1, 3)
+_QUARTERS = tuple(Fraction(n, 4) for n in range(5, 12))
 
 
 def _splitmix64(z: int) -> int:
@@ -93,16 +96,14 @@ def _planted_two_switch(rng: random.Random, horizon: int) -> list[list[Fraction]
     """
     base = rng.randint(1, horizon - 2)
     s = base + 1
-    crossings = rng.sample(
-        [Fraction(n, 4) for n in range(5, 12)], 2
-    )  # quarters in (1, 3)
+    crossings = rng.sample(_QUARTERS, 2)
     x1, x2 = sorted(crossings)
     scale = Fraction(rng.randint(1, 4), rng.choice((1, 2)))
     inner = scale * (x1 + x2)  # single-lag coefficient
     low = scale * x1 * x2  # owner's early-lag coefficient
-    single = [Fraction(0)] * horizon
+    single = [_ZERO] * horizon
     single[s - 1] = inner
-    owner = [Fraction(0)] * horizon
+    owner = [_ZERO] * horizon
     owner[base - 1] = low
     owner[base + 1] = scale
     return [single, owner] if rng.random() < 0.5 else [owner, single]
@@ -130,9 +131,9 @@ def generate_technology(cfg: GeneratorConfig, trial_index: int) -> TechnologySet
             s = rng.randint(2, horizon - 1)
             t_lo = rng.randint(1, s - 1)
             t_hi = rng.randint(s + 1, horizon)
-            single = [Fraction(0)] * horizon
+            single = [_ZERO] * horizon
             single[s - 1] = coeff()
-            owner = [Fraction(0)] * horizon
+            owner = [_ZERO] * horizon
             owner[t_lo - 1] = coeff()
             owner[t_hi - 1] = coeff()
             labors = [single, owner] if rng.random() < 0.5 else [owner, single]
@@ -142,14 +143,14 @@ def generate_technology(cfg: GeneratorConfig, trial_index: int) -> TechnologySet
             split = rng.randint(1, horizon - 1)
             first, second = lags[:split], lags[split:]
             labors = [
-                [coeff() if t in first else Fraction(0) for t in range(1, horizon + 1)],
-                [coeff() if t in second else Fraction(0) for t in range(1, horizon + 1)],
+                [coeff() if t in first else _ZERO for t in range(1, horizon + 1)],
+                [coeff() if t in second else _ZERO for t in range(1, horizon + 1)],
             ]
     else:
         labors = []
         for _ in range(2):
             profile = [
-                coeff() if rng.random() < 0.6 else Fraction(0) for _ in range(horizon)
+                coeff() if rng.random() < 0.6 else _ZERO for _ in range(horizon)
             ]
             if all(v == 0 for v in profile):
                 profile[rng.randrange(horizon)] = coeff()
@@ -205,12 +206,16 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
 
     The scan runs on Python ints. Grid point k is x_k = (x0 + k*dx) / scale.
     Every technique's unit-wage cost row (`switching._cost_rows`: one common
-    denominator, the menu's degree) is evaluated by
-    `polynomial._scaled_value` at x_k times the one positive integer
-    scale**degree, so the integer costs have the same argmin sets as the
-    Fraction costs at the menu's positive wage. Each guard band and each
-    segment's guarded span becomes a range of k by one exact ceil and floor;
-    the first segment holding k wins.
+    denominator, the menu's degree) is evaluated at every x_k at once, by
+    one homogenized-Horner pass per coefficient over the list of integer
+    abscissae x0 + k*dx: each value is scale**degree times the row's value
+    at x_k (`polynomial._scaled_value`), one positive integer scale for
+    every row, so the integer costs have the same argmin sets as the
+    Fraction costs at the menu's positive wage. Each grid column is then
+    compared with its minimum: a point counts as a mismatch when its
+    segment's winner costs more than the cheapest technique there. Each
+    guard band and each segment's guarded span becomes a range of k by one
+    exact ceil and floor; the first segment holding k wins.
     """
     points = GRID_CHECK_POINTS
     step = (hi - lo) / points
@@ -233,21 +238,25 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
             if owner[k] is None:
                 owner[k] = seg.winner
 
-    rows = dict(zip(ts.names, _cost_rows(ts.techniques)[0]))
+    xs = [x0 + k * dx for k in range(points + 1)]
+    costs = {}
+    for name, row in zip(ts.names, _cost_rows(ts.techniques)[0]):
+        values = [0] * (points + 1)
+        power = 1
+        for c in reversed(row):
+            term = c * power
+            values = [v * x + term for v, x in zip(values, xs)]
+            power *= scale
+        costs[name] = values
+    cheapest = [min(column) for column in zip(*costs.values())]
 
     mismatches = 0
     for k in range(points + 1):
         if skipped[k]:
             continue
         winner = owner[k]
-        if winner not in rows:  # no segment covers the point, or no such technique
-            mismatches += 1
-            continue
-        x = x0 + k * dx
-        best = _scaled_value(rows[winner], x, scale)
-        if any(
-            _scaled_value(row, x, scale) < best for name, row in rows.items() if name != winner
-        ):
+        # no segment covers the point, or no such technique, or a dearer one
+        if winner not in costs or costs[winner][k] > cheapest[k]:
             mismatches += 1
     return mismatches
 

@@ -328,10 +328,13 @@ def _narrow(
     sign, keeping the half where the sign changes, for as long as more(a, b)
     holds.
 
-    A midpoint that is a root of f comes back as (m, m).
+    A midpoint that is a root of f comes back as (m, m). f is evaluated
+    only once the bracket needs a halving.
     """
+    if not more(a, b):
+        return a, b
     a_negative = _sign_at(f, a) < 0
-    while more(a, b):
+    while True:
         m = (a + b) / 2
         fm = _sign_at(f, m)
         if fm == 0:
@@ -340,7 +343,8 @@ def _narrow(
             a = m
         else:
             b = m
-    return a, b
+        if not more(a, b):
+            return a, b
 
 
 def _vanishing_order(f: Sequence[int], x: Fraction) -> tuple[int, int]:
@@ -402,7 +406,8 @@ def _isolate_irrational(
             out.append(_narrow(q, a, b, lambda a, b: any(a <= e <= b for e in excluded)))
             continue
         m = (a + b) / 2
-        assert _sign_at(q, m) != 0
+        if _sign_at(q, m) == 0:
+            raise AssertionError(f"bisection midpoint {m} is a root of q")
         stack.append((a, m))
         stack.append((m, b))
     out.sort()

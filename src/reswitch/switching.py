@@ -19,8 +19,13 @@ difference of the pair's two rows, an integer vector that is a positive
 multiple of the cost difference (no root certificate depends on the
 multiple), and its certified roots in the domain. A pair of clones, or a
 pair asked for in the other orientation, reads the same record. Gap
-winners, tie sets and tie costs read the rows: each tie cost is one exact
-`Fraction` of a row's scaled value (`MenuAnalysis._tie_cost`).
+winners, tie sets and tie costs read the rows. A gap's winner is read at
+the gap's midpoint, an integer pair (num, den) over twice the lcm of the
+ends' denominators, not reduced, that `_scaled_value` evaluates directly
+(a common factor of num and den scales every row alike); only a sample
+that hits a tie moves on, in `Fraction`s, toward the right edge. Each tie
+cost is one exact `Fraction` of a row's scaled value
+(`MenuAnalysis._tie_cost`).
 `pairwise_switch_points` and `pairwise_tangencies` read the analysis of a
 two-technique menu. The analysis lives as long as its caller keeps it:
 `dominance_map` and `detect_reswitching` build a fresh one when given none,
@@ -315,7 +320,8 @@ class MenuAnalysis:
     def pair_ties(self, a: Technique, b: Technique) -> _PairTies:
         """The tie record of f = cost_a - cost_b for two menu techniques."""
         for tech in (a, b):
-            if self._members.get(tech.name) != tech:
+            member = self._members.get(tech.name)
+            if member is not tech and member != tech:
                 raise ValueError(f"technique {tech.name!r} is not on this menu")
         ra, rb = self.rep_of[a.name], self.rep_of[b.name]
         if ra == rb:
@@ -339,7 +345,11 @@ class MenuAnalysis:
         """The cost of the named menu technique at x = 1 + i, at the menu's
         wage: its row's scaled value over the scale at x."""
         value = _scaled_value(self.rows[self.rep_of[name]], x.numerator, x.denominator)
-        return self.ts.wage * Fraction(value, x.denominator**self.ts.horizon * self.denom)
+        wage = self.ts.wage
+        return Fraction(
+            wage.numerator * value,
+            wage.denominator * x.denominator**self.ts.horizon * self.denom,
+        )
 
     def switch_points(self, a: Technique, b: Technique) -> list[SwitchPoint]:
         """`pairwise_switch_points(a, b, lo, hi, ts.wage)`, read from the
@@ -500,26 +510,32 @@ def dominance_map(
         cuts[0].narrow(lambda a, b: a <= xlo)
         cuts[-1].narrow(lambda a, b: b >= xhi)
 
-    def min_owners(x: Fraction) -> list[Technique]:
-        values = [_scaled_value(rows[r.name], x.numerator, x.denominator) for r in reps]
+    def min_owners(num: int, den: int) -> list[Technique]:
+        # the representatives cheapest at x = num/den, den > 0, not
+        # necessarily in lowest terms: the scaled values share the positive
+        # scale den**n at the point
+        values = [_scaled_value(rows[r.name], num, den) for r in reps]
         best = min(values)
         return [r for r, c in zip(reps, values) if c == best]
 
-    def winner_at(x: Fraction, right_limit: Fraction) -> Technique:
-        # Move toward (never onto) the right gap edge if the sample happens
-        # to hit a tangency tie; tie points in the open gap are finite.
-        point = x
-        while True:
-            owners = min_owners(point)
-            if len(owners) == 1:
-                return owners[0]
-            point = (point + right_limit) / 2
+    def winner_at(a: Fraction, b: Fraction) -> Technique:
+        # The sample is the gap's midpoint, num over twice the lcm of the
+        # ends' denominators, not reduced. Move toward (never onto) the
+        # right gap edge if the sample happens to hit a tangency tie; tie
+        # points in the open gap are finite.
+        den = lcm(a.denominator, b.denominator)
+        num = a.numerator * (den // a.denominator) + b.numerator * (den // b.denominator)
+        den *= 2
+        while len(owners := min_owners(num, den)) > 1:
+            point = (Fraction(num, den) + b) / 2
+            num, den = point.numerator, point.denominator
+        return owners[0]
 
     # Gap k lies before cut k; one final gap follows the last cut. A gap is
     # empty only when an exact cut sits precisely on a domain edge.
     gap_bounds = list(zip([xlo] + [c.hi for c in cuts], [c.lo for c in cuts] + [xhi]))
     gap_winners: list[Optional[Technique]] = [
-        winner_at((a + b) / 2, b) if a < b else None for a, b in gap_bounds
+        winner_at(a, b) if a < b else None for a, b in gap_bounds
     ]
 
     def named(tied: set[str]) -> tuple[str, ...]:
@@ -531,8 +547,8 @@ def dominance_map(
         representatives at the minimum cost there."""
         ties = named({r.name for r in owners})
         cost = analysis._tie_cost(owners[0].name, x)
-        cert = RootInterval(x - 1, x - 1, ODD)
-        return Boundary(x - 1, x - 1, cert, ties, cost, cost)
+        i = x - 1
+        return Boundary(i, i, RootInterval(i, i, ODD), ties, cost, cost)
 
     def boundary_from(cut: _Cut, anchor: Technique) -> Boundary:
         """The boundary at a cut where the anchor is a cheapest technique.
@@ -541,8 +557,9 @@ def dominance_map(
         a bracket it is the anchor, the pairs the cut records, and any other
         representative whose difference with the anchor keeps a root in the
         bracket (an even tie at the cut, say)."""
-        if cut.exact is not None:
-            return exact_boundary(cut.exact, min_owners(cut.exact))
+        x = cut.exact
+        if x is not None:
+            return exact_boundary(x, min_owners(x.numerator, x.denominator))
         ties = named(
             {
                 r.name
@@ -568,10 +585,10 @@ def dominance_map(
         if win is None:
             # exact cut on a domain edge; record it when two distinct
             # profiles share the minimum there
-            cut = cuts[idx] if idx < len(cuts) else cuts[-1]
-            owners = min_owners(cut.exact)
+            x = (cuts[idx] if idx < len(cuts) else cuts[-1]).exact
+            owners = min_owners(x.numerator, x.denominator)
             if len(owners) > 1:
-                boundaries.append(exact_boundary(cut.exact, owners))
+                boundaries.append(exact_boundary(x, owners))
             continue
         if current is None:
             current = win

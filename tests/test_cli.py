@@ -19,7 +19,7 @@ from reswitch.cli import (
 )
 from reswitch.rationals import format_fixed
 
-from cli_process import run_cli
+from cli_process import run_cli, run_python
 from oracles import no_int_str_limit
 
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
@@ -644,6 +644,32 @@ class TestFalsify:
     def test_zero_trials_usage_error(self):
         cp = run_cli("falsify", "--trials", "0")
         assert cp.returncode == 2
+
+    def test_same_bytes_under_python_optimize(self):
+        # every invariant check is an explicit raise, so -O drops none
+        args = ("-m", "reswitch", "falsify", "--seed", "1", "--trials", "40")
+        plain, optimized = run_python(*args), run_python("-O", *args)
+        assert plain.returncode == optimized.returncode == 0, optimized.stderr
+        assert optimized.stdout == plain.stdout
+
+    def test_invalid_witness_raises_under_python_optimize(self):
+        code = (
+            "import sys\n"
+            "from fractions import Fraction as F\n"
+            "from reswitch import ComplementarityWitness\n"
+            "assert False, 'asserts must be off'\n"
+            "for raised, after in ((F(1), (1, 1)), (F(3), (1, 3))):\n"
+            "    try:\n"
+            "        ComplementarityWitness((1, 2), (F(1), F(1)), raised, (1, 2), after, 'a', 'b')\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        cp = run_python("-O", "-c", code)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.splitlines() == [
+            "the raised price of input 1 is not above its base price",
+            "the demand for input 2 does not drop",
+        ]
 
 
 class TestModelDiagnostics:

@@ -154,6 +154,141 @@ class TestWitness:
         assert len(calls) == 1
 
 
+def reference_pair(ts):
+    """The first (j, k) in lexicographic order at which one of the menu's
+    two distinct profiles has strictly more of lags j and k and strictly
+    less of some lag, read on the Fraction profiles; None for one profile."""
+    profiles = ts.distinct_profiles()[0]
+    if len(profiles) == 1:
+        return None
+    first, second = profiles
+    lags = range(1, ts.horizon + 1)
+    for j in lags:
+        for k in lags:
+            if j == k:
+                continue
+            for heavy, light in ((first, second), (second, first)):
+                if (
+                    heavy.lag(j) > light.lag(j)
+                    and heavy.lag(k) > light.lag(k)
+                    and any(heavy.lag(t) < light.lag(t) for t in lags)
+                ):
+                    return j, k
+    return None
+
+
+def two_profile_menus():
+    """Generated two-technique menus, both structures, horizons 2-6, then
+    hand cases: equal entries, a dominating technique, clones."""
+    menus = []
+    for structure in ("disjoint", "free"):
+        cfg = GeneratorConfig(
+            seed=21, trials=1100, structure=structure, horizon_min=2, horizon_max=6
+        )
+        menus += [generate_technology(cfg, idx) for idx in range(cfg.trials)]
+    hand = [
+        [(1, 2, 3), (1, 5, 0)],  # equal first entries, one lag each way: none
+        [(2, 2, 2), (2, 2, 2, 1)],  # one profile pads the other: dominating
+        [(3, 1, 4), (1, 0, 2)],  # the first dominates the second everywhere
+        [(4, 0, 1, 1), (0, 4, 1, 1)],  # equal tails, one positive lag each
+        [(0, 7, 0), (6, 0, 2), (0, 7)],  # a clone of the first after padding
+        [(6, 0, 2), (6, 0, 2), (0, 7, 0)],  # a clone listed before the other
+        [(1, 5, 5, 0, 2), (1, 1, 1, 3, 1)],  # equal first entries, first pair (2, 3)
+        [(1, 0, 5, 5), (2, 1, 1, 3)],  # first pair (1, 2) on the second
+    ]
+    for profiles in hand:
+        menus.append(
+            TechnologySet(Technique(f"t{n}", p) for n, p in enumerate(profiles))
+        )
+    return menus
+
+
+def strict_choice(ts, prices):
+    """The cheapest profile at prices, which must not tie with another."""
+    reps = TechnologySet(ts.distinct_profiles()[0], ts.wage)
+    choice = chosen_input_vector(reps, prices)
+    assert not choice.is_tie
+    return choice
+
+
+class TestTwoProfileWitness:
+    """The witness of two distinct profiles, read off the signs of their
+    integer labor difference, against a Fraction reference."""
+
+    def test_matches_reference_and_replays(self):
+        menus = two_profile_menus()
+        assert len(menus) >= 2000
+        horizons, found, none = set(), 0, 0
+        for ts in menus:
+            horizons.add(ts.horizon)
+            want = reference_pair(ts)
+            w = find_complementary_pair(ts)
+            assert (w and w.pair) == want, [t.labor for t in ts]
+            if w is None:
+                none += 1
+                continue
+            found += 1
+            j, k = w.pair
+            before = strict_choice(ts, w.base_prices)
+            raised = list(w.base_prices)
+            raised[j - 1] = w.raised_price
+            after = strict_choice(ts, raised)
+            assert (before.vector, after.vector) == (w.demand_before, w.demand_after)
+            assert after.vector[k - 1] < before.vector[k - 1]
+            assert complementarity_witness(ts, w.pair) == w
+        assert horizons == {2, 3, 4, 5, 6}
+        assert found >= 500 and none >= 500
+
+    def test_every_ordered_pair_against_reference(self):
+        # a pair has a witness exactly when one profile has strictly more of
+        # both its lags and strictly less of another
+        for ts in two_profile_menus()[::7]:
+            profiles = ts.distinct_profiles()[0]
+            first, second = profiles * 2 if len(profiles) == 1 else profiles
+            for j in range(1, ts.horizon + 1):
+                for k in range(1, ts.horizon + 1):
+                    if j == k:
+                        continue
+                    w = complementarity_witness(ts, (j, k))
+                    qualifies = any(
+                        h.lag(j) > l.lag(j)
+                        and h.lag(k) > l.lag(k)
+                        and any(h.lag(t) < l.lag(t) for t in range(1, ts.horizon + 1))
+                        for h, l in ((first, second), (second, first))
+                    )
+                    assert (w is not None) == qualifies
+                    if w is not None:
+                        assert w.pair == (j, k)
+                        assert strict_choice(ts, w.base_prices).vector == w.demand_before
+
+    def test_search_builds_at_most_one_witness(self, monkeypatch):
+        calls = []
+        original = complementarity._analytic_two_technique_witness
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(complementarity, "_analytic_two_technique_witness", counting)
+        # the champagne pair's first complementary pair is (1, 3), not (1, 2)
+        assert find_complementary_pair(TS).pair == (1, 3)
+        assert len(calls) == 1
+        calls.clear()
+        late = TechnologySet([Technique("a", (1, 5, 5, 0, 2)), Technique("b", (1, 1, 1, 3, 1))])
+        assert find_complementary_pair(late).pair == (2, 3)
+        assert len(calls) == 1
+        calls.clear()
+        dominated = TechnologySet([Technique("a", (3, 1, 4)), Technique("b", (1, 0, 2))])
+        assert find_complementary_pair(dominated) is None
+        assert calls == []
+
+    def test_invalid_witness_raises(self):
+        with pytest.raises(ValueError, match="raised price"):
+            ComplementarityWitness((1, 2), (F(2), F(1)), F(2), (1, 2), (0, 1), "a", "b")
+        with pytest.raises(ValueError, match="demand for input 2"):
+            ComplementarityWitness((1, 2), (F(1), F(1)), F(2), (1, 2), (0, 2), "a", "b")
+
+
 class TestOwnPriceLaw:
     def test_raising_own_price_never_raises_own_demand(self):
         rng = random.Random(99)

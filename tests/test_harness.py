@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -160,6 +161,31 @@ class TestGridCheck:
             swapped_total += count
         assert swapped_total > 0
         assert horizons == {2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("lo, hi", [(F(0), F(2)), (F(-1, 3), F(5, 7))])
+    def test_matches_oracle_on_larger_menus(self, lo, hi):
+        # each grid column's minimum runs over every technique, which only
+        # menus of more than two profiles exercise
+        rng = random.Random(2718)
+        swapped_total = 0
+        for size in (4, 5, 6, 7, 8):
+            horizon = rng.randint(3, 5)
+            profiles = set()
+            while len(profiles) < size:
+                prof = tuple(F(rng.randint(0, 12), rng.choice((1, 2, 4))) for _ in range(horizon))
+                if any(prof):
+                    profiles.add(prof)
+            ts = TechnologySet(
+                [Technique(f"t{n}", p) for n, p in enumerate(sorted(profiles))],
+                wage=rng.choice((F(1), F(5, 3))),
+            )
+            dom = detect_reswitching(ts, lo, hi).map
+            assert _grid_mismatches(ts, dom, lo, hi) == oracle_count(ts, dom, lo, hi) == 0
+            swapped = swapped_winners(dom, ts)
+            count = _grid_mismatches(ts, swapped, lo, hi)
+            assert count == oracle_count(ts, swapped, lo, hi)
+            swapped_total += count
+        assert swapped_total > 0
 
     @pytest.mark.parametrize("lo, hi", [(F(0), F(2)), (F(-1, 3), F(5, 7))])
     def test_ties_gaps_overlaps_and_unknown_winners(self, lo, hi):

@@ -1,6 +1,7 @@
 """Static checks on the package source: it parses as the oldest Python the
-package declares, it imports only the standard library and itself, and no
-binary float enters a computation.
+package declares, it imports only the standard library and itself, no
+binary float enters a computation, and no check is an `assert` statement,
+which `python -O` would drop.
 
 The one place floats may appear is the trial generator's sampling
 thresholds in `harness.py`, where `rng.random()` (a float in [0, 1)) is
@@ -99,6 +100,13 @@ def test_float_literals_only_as_sampling_thresholds(path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
             assert id(node) in allowed, f"{path.name}:{node.lineno} float literal {node.value}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # invariants raise explicitly, so they hold under `python -O` too
+    for node in ast.walk(_tree(path)):
+        assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} uses assert"
 
 
 def test_harness_thresholds_are_seen():

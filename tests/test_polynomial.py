@@ -658,6 +658,27 @@ class TestIntegerBisection:
         assert seen["zero_halvings"] >= 1 and seen["midpoint_root"] >= 1, seen
         assert seen["even"] == 2 and seen["halved"] >= 7, seen
 
+    def test_narrow_evaluates_nothing_when_no_halving_is_needed(self, monkeypatch):
+        # the predicate is read before the sign at the left end, so a
+        # bracket that needs no halving costs no evaluation
+        calls = []
+        original = polynomial._scaled_value
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(polynomial, "_scaled_value", counting)
+        f = [-2, 0, 1]  # x^2 - 2
+        for lo, hi in ((F(1), F(2)), (F(-2), F(-1)), (F(7, 5), F(3, 2))):
+            assert polynomial._narrow(f, lo, hi, lambda a, b: a <= -3) == (lo, hi)
+            assert polynomial._narrow(f, lo, hi, lambda a, b: b - a > 1) == (lo, hi)
+        assert calls == []
+        assert polynomial._narrow(f, F(1), F(2), lambda a, b: b - a > F(1, 4)) == (
+            F(5, 4), F(3, 2)
+        )
+        assert len(calls) == 1 + 2  # the left end, then two midpoints
+
     def test_odd_bracket_refined_without_fraction_evaluation(self, monkeypatch):
         p = poly_product([-2, 0, 1], [-3, 1])  # (x^2 - 2)(x - 3)
         (root,) = isolate_real_roots(p, F(1), F(2))
