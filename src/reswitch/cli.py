@@ -388,7 +388,7 @@ def cmd_analyze(args) -> int:
         if verdict.single_switch is True:
             break
 
-    witness = find_complementary_pair(ts) if len(ts) >= 2 else None
+    witness = find_complementary_pair(ts)
     doc = {
         "domain": [_exact(lo), _exact(hi)],
         "techniques": {t.name: [_exact(v) for v in t.labor] for t in ts.techniques},

@@ -17,7 +17,8 @@ at any rational point), and a `_PairTies` record for each representative
 pair, isolated the first time the pair is asked for. A record holds the
 difference of the pair's two rows, an integer vector that is a positive
 multiple of the cost difference (no root certificate depends on the
-multiple), and its certified roots in the domain. A pair of clones, or a
+multiple), and its roots in the domain: every certificate, exact or a
+bracket, is clipped to the domain alike. A pair of clones, or a
 pair asked for in the other orientation, reads the same record. Gap
 winners, tie sets and tie costs read the rows. A gap's winner is read at
 the gap's midpoint, an integer pair (num, den) over twice the lcm of the
@@ -42,11 +43,14 @@ it certifies, on the bracket and difference of the first of them. One sweep
 makes the cuts disjoint, merging or halving only neighbours that overlap, so
 a bracket stays a node of its own pair's bisection and an irrational
 boundary's approximation is that pair's switch point (unless separation
-narrowed the bracket below APPROX_TOL). At an exact point a boundary's tie
-set is every technique at the minimum cost there. In a bracket it is the
-pairs the cut records, else a shared-root test per representative (one
-with an even tie there, say): whether the square-free part of an integer
-gcd changes sign across the bracket. Sturm chains only isolate.
+narrowed the bracket below APPROX_TOL). An exact cut on a domain edge is
+set aside before the walk, as it bounds no gap; the other cuts bound
+non-empty gaps, and a segment is a run of gaps with one winner, so
+boundaries come out in order. At an exact point a boundary's tie set is every technique at
+the minimum cost there. In a bracket it is the pairs the cut records, else
+a shared-root test per representative (one with an even tie there, say):
+whether the square-free part of an integer gcd changes sign across the
+bracket. Sturm chains only isolate.
 """
 
 from __future__ import annotations
@@ -169,18 +173,17 @@ def _check_domain(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
 def _clip_bracket(
     f: list[int], iv: RootInterval, xlo: Fraction, xhi: Fraction
 ) -> Optional[RootInterval]:
-    """Narrow a root bracket of the integer vector f until fully inside or
-    outside [xlo, xhi]; None when it ends up outside."""
+    """Narrow a root certificate of the integer vector f until fully inside
+    or outside [xlo, xhi]; None when it ends up outside. Only a bracket can
+    straddle an edge: an exact root comes back as itself or None."""
 
     def straddles(a: Fraction, b: Fraction) -> bool:
         return not (b < xlo or a > xhi or (xlo <= a and b <= xhi))
 
-    lo_b, hi_b = iv.lo, iv.hi
-    if straddles(lo_b, hi_b):
-        lo_b, hi_b = _narrow(_bisection_poly(f, lo_b, hi_b), lo_b, hi_b, straddles)
-    if hi_b < xlo or lo_b > xhi:
-        return None
-    return RootInterval(lo_b, hi_b, iv.parity)
+    if straddles(iv.lo, iv.hi):
+        lo_b, hi_b = _narrow(_bisection_poly(f, iv.lo, iv.hi), iv.lo, iv.hi, straddles)
+        iv = RootInterval(lo_b, hi_b, iv.parity)
+    return None if iv.hi < xlo or iv.lo > xhi else iv
 
 
 def _cost_rows(techs: Sequence[Technique]) -> tuple[list[list[int]], int]:
@@ -215,16 +218,11 @@ def _pair_ties(f: list[int], lo: Fraction, hi: Fraction) -> _PairTies:
     """The tie record of f, the nonzero difference of two cost rows."""
     xlo, xhi = 1 + lo, 1 + hi
     bound = _cauchy_bound(f) + 1
-    in_domain: list[RootInterval] = []
-    for iv in isolate_real_roots(Polynomial(f), -bound, bound):
-        if iv.is_exact:
-            if xlo <= iv.lo <= xhi:
-                in_domain.append(iv)
-        else:
-            clipped = _clip_bracket(f, iv, xlo, xhi)
-            if clipped is not None:
-                in_domain.append(clipped)
-    return _PairTies(f, tuple(in_domain))
+    clipped = (
+        _clip_bracket(f, iv, xlo, xhi)
+        for iv in isolate_real_roots(Polynomial(f), -bound, bound)
+    )
+    return _PairTies(f, tuple(iv for iv in clipped if iv is not None))
 
 
 def _sign_above(f: list[int], iv: RootInterval) -> int:
@@ -467,13 +465,18 @@ def dominance_map(
     """Partition [lo, hi] into segments whose interior has a strict unique
     cost minimizer; ties occur only at the recorded boundaries.
 
-    Techniques with identical profiles are collapsed into one competitor and
-    reported as co-winners of its segments. The same walk over the
-    representative pairs collects their even-multiplicity ties in [lo, hi]
-    as `tangencies`, sorted by approximate interest rate (stable, in pair
-    order), so callers need not isolate any pair again. Pair records are
-    read from `analysis` (a fresh `MenuAnalysis(ts, lo, hi)` by default);
-    one built for another menu or domain raises ValueError.
+    The cuts are the odd ties of the representative pairs, made disjoint.
+    An exact cut on a domain edge is set aside first, and is a boundary
+    when two distinct profiles share the minimum there. The other cuts
+    bound non-empty gaps with one cheapest winner each; a segment is a run
+    of gaps with one winner, and each cut where the winner changes is a
+    boundary. Techniques with identical profiles are collapsed into one
+    competitor and reported as co-winners of its segments. The same walk
+    over the representative pairs collects their even-multiplicity ties in
+    [lo, hi] as `tangencies`, sorted by approximate interest rate (stable,
+    in pair order), so callers need not isolate any pair again. Pair
+    records are read from `analysis` (a fresh `MenuAnalysis(ts, lo, hi)` by
+    default); one built for another menu or domain raises ValueError.
     """
     if analysis is None:
         analysis = MenuAnalysis(ts, lo, hi)
@@ -482,11 +485,6 @@ def dominance_map(
     lo, hi = analysis.lo, analysis.hi
     xlo, xhi = 1 + lo, 1 + hi
     reps, aliases = analysis.reps, analysis.aliases
-
-    if len(reps) == 1:
-        seg = Segment(lo, hi, reps[0].name, tuple(aliases[reps[0].name]))
-        return DominanceMap((lo, hi), (seg,), ())
-
     # gap winners and tie sets compare scaled row values, which share one
     # positive scale at a point (the wage is positive too, so unit costs
     # have the same argmin)
@@ -504,8 +502,11 @@ def dominance_map(
         tangencies.extend(_tangencies(u, v, ties))
     tangencies.sort(key=lambda t: t.interest_approx)
     cuts = _merge_or_separate(cuts)
-    # cuts are strictly apart; keep brackets off the domain edges too, so
-    # every gap admits a rational interior sample
+    # cuts are strictly apart; an exact one on a domain edge bounds no gap,
+    # and brackets are kept off the edges, so every gap has an inner sample
+    edges = [cuts.pop(0).exact] if cuts and cuts[0].exact == xlo else []
+    if cuts and cuts[-1].exact == xhi:
+        edges.append(cuts.pop().exact)
     if cuts:
         cuts[0].narrow(lambda a, b: a <= xlo)
         cuts[-1].narrow(lambda a, b: b >= xhi)
@@ -531,12 +532,9 @@ def dominance_map(
             num, den = point.numerator, point.denominator
         return owners[0]
 
-    # Gap k lies before cut k; one final gap follows the last cut. A gap is
-    # empty only when an exact cut sits precisely on a domain edge.
-    gap_bounds = list(zip([xlo] + [c.hi for c in cuts], [c.lo for c in cuts] + [xhi]))
-    gap_winners: list[Optional[Technique]] = [
-        winner_at(a, b) if a < b else None for a, b in gap_bounds
-    ]
+    # gap k lies before cut k; one final gap follows the last cut
+    gaps = zip([xlo] + [c.hi for c in cuts], [c.lo for c in cuts] + [xhi])
+    winners = [winner_at(a, b) for a, b in gaps]
 
     def named(tied: set[str]) -> tuple[str, ...]:
         # aliases follow their representative; names stay in menu order
@@ -576,45 +574,26 @@ def dominance_map(
         cost = analysis._tie_cost(anchor.name, approx_x)
         return Boundary(None, approx_x - 1, cert, ties, None, cost)
 
-    segments: list[Segment] = []
+    # a segment is a run of gaps with one winner, and a boundary is read
+    # where the winner changes, so boundaries come in order
     boundaries: list[Boundary] = []
-    current: Optional[Technique] = None
-    open_display: Optional[Fraction] = None
-
-    for idx, win in enumerate(gap_winners):
-        if win is None:
-            # exact cut on a domain edge; record it when two distinct
-            # profiles share the minimum there
-            x = (cuts[idx] if idx < len(cuts) else cuts[-1]).exact
-            owners = min_owners(x.numerator, x.denominator)
-            if len(owners) > 1:
-                boundaries.append(exact_boundary(x, owners))
-            continue
-        if current is None:
-            current = win
-            open_display = gap_bounds[idx][0] - 1
-        elif win.name != current.name:
-            boundary = boundary_from(cuts[idx - 1], current)
-            boundaries.append(boundary)
-            segments.append(
-                Segment(
-                    open_display,
-                    boundary.interest_approx,
-                    current.name,
-                    tuple(aliases[current.name]),
-                )
-            )
-            current = win
-            open_display = boundary.interest_approx
-    if current is not None:
-        segments.append(
-            Segment(open_display, hi, current.name, tuple(aliases[current.name]))
-        )
-
-    boundaries.sort(key=lambda b: b.interest_approx)
-    return DominanceMap(
-        (lo, hi), tuple(segments), tuple(boundaries), tuple(tangencies)
+    starts, runs = [lo], [winners[0]]
+    for cut, below, above in zip(cuts, winners, winners[1:]):
+        if above is not below:
+            boundaries.append(boundary_from(cut, below))
+            starts.append(boundaries[-1].interest_approx)
+            runs.append(above)
+    # an exact cut on a domain edge is a boundary when two distinct profiles
+    # share the minimum there; the left edge's goes first, the right's last
+    for x in edges:
+        owners = min_owners(x.numerator, x.denominator)
+        if len(owners) > 1:
+            boundaries.insert(0 if x == xlo else len(boundaries), exact_boundary(x, owners))
+    segments = (
+        Segment(a, b, w.name, tuple(aliases[w.name]))
+        for a, b, w in zip(starts, starts[1:] + [hi], runs)
     )
+    return DominanceMap((lo, hi), tuple(segments), tuple(boundaries), tuple(tangencies))
 
 
 def detect_reswitching(

@@ -573,6 +573,17 @@ class TestIntegerBisection:
             sf = fraction_yun(coeffs)[0]
             for iv in isolate_real_roots(p, F(-10), F(10)):
                 if iv.is_exact:
+                    # an exact root never straddles a domain edge: it is
+                    # kept as it is inside [xlo, xhi], either edge included,
+                    # and dropped outside
+                    x = iv.lo
+                    for xlo, xhi, kept in (
+                        (x - 1, x + 1, True), (x, x + 1, True), (x - 1, x, True),
+                        (x + F(1, 3), x + 1, False), (x - 1, x - F(1, 3), False),
+                    ):
+                        got = _clip_bracket(_int_vector(p), iv, xlo, xhi)
+                        assert got == (iv if kept else None)
+                        seen["clip_exact_kept" if kept else "clip_exact_dropped"] += 1
                     continue
                 lo, hi = iv.lo, iv.hi
                 odd = p(lo) * p(hi) < 0
@@ -618,7 +629,8 @@ class TestIntegerBisection:
                 assert got == fraction_narrow(coeffs, lo, hi, lambda a, b: b - a >= F(1, 2**20))
                 seen["midpoint_root" if got[0] == got[1] else "grid"] += 1
         minimum = {"odd": 150, "even": 50, "clip_narrowed": 150, "clip_kept": 60,
-                   "clip_dropped": 130, "midpoint_root": 30, "grid": 130}
+                   "clip_dropped": 130, "clip_exact_kept": 400, "clip_exact_dropped": 260,
+                   "midpoint_root": 30, "grid": 130}
         for kind, count in minimum.items():
             assert seen[kind] >= count, (kind, seen)
 

@@ -27,6 +27,7 @@ import reswitch.polynomial as polynomial
 import reswitch.switching as switching
 from reswitch import (
     DivisionByZeroError,
+    DominanceMap,
     DomainError,
     IdenticalTechniquesError,
     MenuAnalysis,
@@ -242,9 +243,21 @@ class TestDominance:
         assert all(set(b.ties) == {"a", "b"} for b in dom.boundaries)
 
     def test_single_technique(self):
-        dom = dominance_map(TechnologySet([A]), F(0), F(2))
-        assert dom.winners == ("a",)
-        assert dom.segments[0].lo == 0 and dom.segments[0].hi == 2
+        # one profile has no pairs, so no cuts: one gap, one segment
+        for clones in ((), ("a2", "a3")):
+            ts = TechnologySet([A] + [Technique(name, A.labor) for name in clones])
+            for lo, hi in ((F(0), F(2)), (F(1, 2), F(1)), (F(-1, 2), F(3))):
+                dom = dominance_map(ts, lo, hi)
+                assert dom == DominanceMap((lo, hi), (Segment(lo, hi, "a", clones),), ())
+
+    def test_exact_cuts_on_both_edges(self):
+        # the champagne pair ties at 50% and 100%, the two domain edges;
+        # the dearer c does not hide either boundary
+        ts = TechnologySet([A, B, Technique("c", (9, 9, 9))])
+        dom = dominance_map(ts, F(1, 2), F(1))
+        assert dom.segments == (Segment(F(1, 2), F(1), "b"),)
+        assert [b.interest_exact for b in dom.boundaries] == [F(1, 2), F(1)]
+        assert all(b.ties == ("a", "b") for b in dom.boundaries)
 
     def test_dominated_technique_never_wins(self):
         fat = Technique("fat", tuple(x + y for x, y in zip(A.labor, B.labor)))
