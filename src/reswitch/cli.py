@@ -12,8 +12,12 @@ float, and exponent notation ("1e5") is rejected in either form. A model:
 Interest rates are accepted as percents by default ("50") or as fractions
 with --unit fraction ("1/2"). CSV goes to stdout with LF line endings;
 decimal cells are rounded half away from zero, and interest preimages print
-at two decimals (an exact one-third rate renders as "33.33"). Exit codes:
-0 success, 1 analysis error (domain or aggregability), 2 usage error.
+at two decimals (an exact one-third rate renders as "33.33"). Every CSV
+command builds its rows as pairs of decimal and exact cells, and one writer
+appends the exact columns under --exact. They hold only exact values: a
+`table2` preimage that is irrational prints as its isolating bracket
+"(lo, hi)" in interest units, which holds it and no other preimage. Exit
+codes: 0 success, 1 analysis error (domain or aggregability), 2 usage error.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .factorspace import (
 )
 from .harness import GeneratorConfig, run_falsification
 from .model import Technique, TechnologySet
+from .polynomial import RootInterval
 from .rationals import (
     format_fixed,
     int_decimal,
@@ -152,22 +157,26 @@ def model_group(ts: TechnologySet, text: str, command: str) -> FactorGroup:
     return group
 
 
-def parse_grid(text: str, unit: str) -> list[Fraction]:
+def _parse_spec(text: str, unit: str, kind: str, shape: str) -> list[Fraction]:
+    """The rates of a colon-separated spec such as LO:HI, in interest units."""
     parts = text.split(":")
-    if len(parts) != 3:
-        raise FlagError(f"grid spec {quote_short(text)} must be LO:HI:STEP")
+    if len(parts) != shape.count(":") + 1:
+        raise FlagError(f"{kind} spec {quote_short(text)} must be {shape}")
     try:
-        lo = _rate_to_interest(parts[0], unit)
-        hi = _rate_to_interest(parts[1], unit)
-        step = _rate_to_interest(parts[2], unit)
+        return [_rate_to_interest(part, unit) for part in parts]
     except ModelFormatError as exc:
-        raise FlagError(f"bad grid spec {quote_short(text)}: {exc}") from exc
+        raise FlagError(f"bad {kind} spec {quote_short(text)}: {exc}") from exc
+
+
+def parse_grid(text: str, unit: str) -> list[Fraction]:
+    lo, hi, step = _parse_spec(text, unit, "grid", "LO:HI:STEP")
     if step <= 0:
         raise FlagError("grid step must be positive")
     if hi < lo:
         raise FlagError("grid upper bound below lower bound")
     if lo <= -1:
-        raise DomainError(f"grid start {quote_short(parts[0].strip())} is at or below -100%")
+        start = quote_short(text.split(":")[0].strip())
+        raise DomainError(f"grid start {start} is at or below -100%")
     count = (hi - lo) // step + 1
     if count > MAX_GRID_POINTS:
         raise FlagError(f"grid spec {quote_short(text)} has more than {MAX_GRID_POINTS} points")
@@ -175,14 +184,7 @@ def parse_grid(text: str, unit: str) -> list[Fraction]:
 
 
 def parse_domain(text: str, unit: str) -> tuple[Fraction, Fraction]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise FlagError(f"domain spec {quote_short(text)} must be LO:HI")
-    try:
-        lo = _rate_to_interest(parts[0], unit)
-        hi = _rate_to_interest(parts[1], unit)
-    except ModelFormatError as exc:
-        raise FlagError(f"bad domain spec {quote_short(text)}: {exc}") from exc
+    lo, hi = _parse_spec(text, unit, "domain", "LO:HI")
     if hi <= lo:
         raise FlagError("domain upper bound must exceed lower bound")
     return lo, hi
@@ -196,141 +198,103 @@ def _exact(value: Fraction) -> str:
     return f"{text}/{int_decimal(value.denominator)}"
 
 
-def _emit_csv(rows: list[list[str]]) -> None:
+def _certificate(root: RootInterval) -> str:
+    """An exact root as itself, an irrational one as its bracket "(lo, hi)"."""
+    if root.is_exact:
+        return _exact(root.lo)
+    return f"({_exact(root.lo)}, {_exact(root.hi)})"
+
+
+def _write_csv(args, header: list[str], exact_header: list[str], rows) -> int:
+    """Print a table whose rows are (decimal cells, exact cells) pairs; the
+    exact header and cells follow the decimal ones only under --exact."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerow(header + exact_header if args.exact else header)
+    writer.writerows(cells + exact if args.exact else cells for cells, exact in rows)
     sys.stdout.write(buffer.getvalue())
+    return 0
 
 
 def cmd_table1(args) -> int:
     ts = load_model(args.model)
-    rates = parse_rate_list(args.rates, args.unit)
-    places = args.precision if args.precision is not None else 2
-    header = ["interest_pct"] + [f"cost_{t.name}" for t in ts.techniques] + ["switch"]
-    if args.exact:
-        header += [f"cost_{t.name}_exact" for t in ts.techniques]
-    rows = [header]
-    for i in rates:
+    rows = []
+    for i in parse_rate_list(args.rates, args.unit):
         costs = [t.cost_at(ts.wage, i) for t in ts.techniques]
-        best = min(costs)
-        tied = sum(1 for c in costs if c == best)
-        row = [format_fixed(i * 100, places)]
-        row += [format_fixed(c, places) for c in costs]
-        row.append("*" if tied > 1 else "")
-        if args.exact:
-            row += [_exact(c) for c in costs]
-        rows.append(row)
-    _emit_csv(rows)
-    return 0
+        cells = [format_fixed(c, args.places) for c in [i * 100] + costs]
+        cells.append("*" if costs.count(min(costs)) > 1 else "")
+        rows.append((cells, [_exact(c) for c in costs]))
+    names = [f"cost_{t.name}" for t in ts.techniques]
+    header = ["interest_pct"] + names + ["switch"]
+    return _write_csv(args, header, [f"{name}_exact" for name in names], rows)
 
 
 def cmd_table2(args) -> int:
     ts = load_model(args.model)
     group = model_group(ts, args.group, "table2")
     rates = parse_rate_list(args.rates, args.unit)
-    places = args.precision if args.precision is not None else 2
-    min_places = args.precision if args.precision is not None else MIN_ROW_PLACES
+    places = args.places
     domain_lo, domain_hi = min([Fraction(0)] + rates), max([Fraction(2)] + rates)
 
-    # one row per distinct relative price; preimages fill in the other rates
+    # one row per distinct relative price; preimages, which come sorted,
+    # fill in the other rates
     tol = Fraction(1, 10 ** (places + 6))
-    seen: dict[Fraction, dict] = {}
+    rows: dict[Fraction, tuple] = {}
     for point in relative_price_curve(ts, group, rates):
-        if point.relative_price in seen:
+        price, ratio = point.relative_price, point.cost_ratio
+        if price in rows:
             continue
-        preimages = refined_interest_rates(
-            ts, group, point.relative_price, domain_lo, domain_hi, tol
+        preimages = refined_interest_rates(ts, group, price, domain_lo, domain_hi, tol)
+        rows[price] = (
+            price,
+            [
+                format_fixed(price, places),
+                " and ".join(format_fixed(rate * 100, places) for _, rate in preimages),
+                format_fixed(ratio * 100, places),
+                "**" if ratio == 1 else "",
+            ],
+            [_exact(price), " and ".join(_certificate(r) for r, _ in preimages), _exact(ratio)],
         )
-        seen[point.relative_price] = {
-            "relative_price": format_fixed(point.relative_price, places),
-            "interest": sorted(rate for _, rate in preimages),
-            "ratio": point.cost_ratio,
-            "marker": "**" if point.cost_ratio == 1 else "",
-            "sort": point.relative_price,
-        }
 
-    rows_data = list(seen.values())
+    table = list(rows.values())
     minimum = curve_minimum(ts, group, domain_lo, domain_hi)
     if minimum is not None:
-        rows_data.append(
-            {
-                "relative_price": format_fixed(minimum.relative_price, min_places),
-                "interest": [minimum.interest],
-                "ratio": minimum.cost_ratio,
-                "marker": "*",
-                "sort": minimum.relative_price,
-            }
-        )
-    rows_data.sort(key=lambda r: r["sort"])
-
-    header = ["relative_price", "interest_pct", "cost_ratio_pct", "marker"]
-    if args.exact:
-        header += ["relative_price_exact", "interest_exact", "cost_ratio_exact"]
-    rows = [header]
-    for data in rows_data:
-        interest_cell = " and ".join(
-            format_fixed(i * 100, places) for i in data["interest"]
-        )
-        row = [
-            data["relative_price"],
-            interest_cell,
-            format_fixed(data["ratio"] * 100, places),
-            data["marker"],
+        min_places = places if args.precision is not None else MIN_ROW_PLACES
+        cells = [
+            format_fixed(minimum.relative_price, min_places),
+            format_fixed(minimum.interest * 100, places),
+            format_fixed(minimum.cost_ratio * 100, places),
+            "*",
         ]
-        if args.exact:
-            exact_rel = _exact(data["sort"]) if data["marker"] != "*" else ""
-            exact_int = " and ".join(_exact(i) for i in data["interest"]) if data["marker"] != "*" else ""
-            exact_ratio = _exact(data["ratio"]) if data["marker"] != "*" else ""
-            row += [exact_rel, exact_int, exact_ratio]
-        rows.append(row)
-    _emit_csv(rows)
-    return 0
+        table.append((minimum.relative_price, cells, ["", "", ""]))
+    table.sort(key=lambda row: row[0])
+    header = ["relative_price", "interest_pct", "cost_ratio_pct", "marker"]
+    exact_header = ["relative_price_exact", "interest_exact", "cost_ratio_exact"]
+    return _write_csv(args, header, exact_header, [row[1:] for row in table])
 
 
 def cmd_curves(args) -> int:
     ts = load_model(args.model)
     grid = parse_grid(args.grid, args.unit)
-    places = args.precision if args.precision is not None else 2
     if args.which == "figure2":
         if len(ts) != 2:
             raise ModelFormatError("figure2 needs exactly two techniques")
         first, second = ts.techniques
-        header = ["interest_pct", "cost_ratio"]
-        if args.exact:
-            header += ["interest_exact", "cost_ratio_exact"]
-        rows = [header]
-        for i, ratio in cost_ratio_curve(second, first, grid, ts.wage):
-            row = [format_fixed(i * 100, places), format_fixed(ratio, 6)]
-            if args.exact:
-                row += [_exact(i), _exact(ratio)]
-            rows.append(row)
-        _emit_csv(rows)
-        return 0
-
-    group = model_group(ts, args.group, "figure3")
-    points = relative_price_curve(ts, group, grid)
-    by_price: dict[Fraction, Fraction] = {}
-    for pt in points:
-        if pt.relative_price in by_price:
-            if by_price[pt.relative_price] != pt.cost_ratio:
-                raise ReswitchError(
-                    f"inconsistent duplicate abscissa at relative price "
-                    f"{pt.relative_price}"
-                )
-        else:
-            by_price[pt.relative_price] = pt.cost_ratio
-    header = ["relative_price", "cost_ratio"]
-    if args.exact:
-        header += ["relative_price_exact", "cost_ratio_exact"]
-    rows = [header]
-    for rel in sorted(by_price):
-        row = [format_fixed(rel, places), format_fixed(by_price[rel], 6)]
-        if args.exact:
-            row += [_exact(rel), _exact(by_price[rel])]
-        rows.append(row)
-    _emit_csv(rows)
-    return 0
+        column, exact_column, scale = "interest_pct", "interest_exact", 100
+        points = cost_ratio_curve(second, first, grid, ts.wage)
+    else:
+        # the cost ratio is a function of the relative price p alone: each
+        # technique costs w * (g * F + c * x**lag), so the ratio is
+        # (g_a * p + c_a) / (g_b * p + c_b), and a repeated p repeats it
+        group = model_group(ts, args.group, "figure3")
+        column, exact_column, scale = "relative_price", "relative_price_exact", 1
+        curve = relative_price_curve(ts, group, grid)
+        points = sorted({pt.relative_price: pt.cost_ratio for pt in curve}.items())
+    rows = [
+        ([format_fixed(x * scale, args.places), format_fixed(ratio, 6)], [_exact(x), _exact(ratio)])
+        for x, ratio in points
+    ]
+    return _write_csv(args, [column, "cost_ratio"], [exact_column, "cost_ratio_exact"], rows)
 
 
 def _switch_point_json(sp, places: int) -> dict:
@@ -350,7 +314,7 @@ def cmd_analyze(args) -> int:
     lo, hi = (Fraction(0), Fraction(2))
     if args.domain:
         lo, hi = parse_domain(args.domain, args.unit)
-    places = args.precision if args.precision is not None else 2
+    places = args.places
 
     # every pair below is isolated once, into this command's analysis
     analysis = MenuAnalysis(ts, lo, hi)
@@ -560,6 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--precision must be at least 0")
     if precision is not None and precision > MAX_PRECISION:
         parser.error(f"--precision must be at most {MAX_PRECISION}")
+    args.places = 2 if precision is None else precision
     if args.command == "curves" and args.which == "figure3" and not args.group:
         parser.error("figure3 requires --group")
     try:

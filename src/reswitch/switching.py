@@ -620,14 +620,12 @@ def cost_ratio_curve(
     wage: Fraction = Fraction(1),
 ) -> list[tuple[Fraction, Fraction]]:
     """Exact cost ratio numerator/denominator at each grid interest rate."""
-    horizon = max(numerator.horizon, denominator.horizon)
-    num, den = numerator.padded(horizon), denominator.padded(horizon)
     out = []
     for i in interest_grid:
-        below = den.cost_at(wage, i)
+        below = denominator.cost_at(wage, i)
         if below == 0:
             raise DivisionByZeroError(
                 f"cost of {denominator.name!r} vanishes at interest {i}"
             )
-        out.append((Fraction(i), num.cost_at(wage, i) / below))
+        out.append((Fraction(i), numerator.cost_at(wage, i) / below))
     return out

@@ -9,9 +9,10 @@ gcd, Yun's decomposition and the classic Sturm sequence by long division
 over the rationals, bracket bisection with a Fraction evaluation at every
 midpoint, direct cheapest-technique evaluation, a grid scan of a dominance
 map against it and the grid cells where the cheapest technique changes, an
-exact-grid re-check of the factor-price collapse, the floating-point
-log-spaced price grid, and Python's own int-to-str conversion with its
-digit limit lifted.
+exact-grid re-check of the factor-price collapse, seeded menus built to meet
+the relative-price curve's preconditions, the floating-point log-spaced
+price grid, and Python's own int-to-str conversion with its digit limit
+lifted.
 """
 
 from __future__ import annotations
@@ -453,6 +454,37 @@ def equal_price_pairs(bundle, complement_lag, xs):
         if min(xs) <= partner <= max(xs) and partner != x:
             pairs.append((x, partner))
     return pairs
+
+
+def aggregable_menu(rng, horizon, techniques):
+    """A seeded menu that meets the relative-price curve's preconditions.
+
+    Technique u spends g_u times one common bundle on the group lags and
+    c_u at the single complement lag, and nothing at any other lag. Some
+    g_u and c_u are drawn as zero, never both for one technique, and at
+    least one of each is positive, so the group is used and the complement
+    lag is positive. Returns (labors, group, lag, gs, cs), each labor a
+    list of `horizon` fractions, lag 1 first.
+    """
+    lag = rng.randint(1, horizon)
+    others = [t for t in range(1, horizon + 1) if t != lag]
+    group = sorted(rng.sample(others, rng.randint(1, len(others))))
+    bundle = {t: Fraction(rng.randint(1, 9), rng.choice((1, 2, 3))) for t in group}
+    gs = [Fraction(rng.randint(0, 3), rng.choice((1, 2))) for _ in range(techniques)]
+    cs = [Fraction(rng.randint(0, 6), rng.choice((1, 5))) for _ in range(techniques)]
+    if not any(gs):
+        gs[rng.randrange(techniques)] = Fraction(1)
+    if not any(cs):
+        cs[rng.randrange(techniques)] = Fraction(2)
+    cs = [c if g or c else Fraction(2) for g, c in zip(gs, cs)]
+    labors = []
+    for g, c in zip(gs, cs):
+        labor = [Fraction(0)] * horizon
+        for t, qty in bundle.items():
+            labor[t - 1] = g * qty
+        labor[lag - 1] = c
+        labors.append(labor)
+    return labors, group, lag, gs, cs
 
 
 def log_grid(points, lo, hi):

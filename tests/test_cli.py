@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ import pytest
 
 import reswitch.cli as cli
 import reswitch.switching as switching
+from reswitch import FactorGroup, Technique, TechnologySet, relative_price_curve
 from reswitch.cli import (
     MAX_GRID_POINTS,
     MAX_PRECISION,
@@ -20,11 +23,13 @@ from reswitch.cli import (
 from reswitch.rationals import format_fixed
 
 from cli_process import run_cli, run_python
-from oracles import no_int_str_limit
+from oracles import aggregable_menu, no_int_str_limit
 
 MODEL = str(Path(__file__).parent / "data" / "samuelson.json")
 # wage 3/2; c clones a; irrational ties at x = 2 -+ sqrt(2)/2
 CLONE_IRR = str(Path(__file__).parent / "data" / "clone_irr.json")
+# relative price 9 at rates 0 and about 37.23%, a root of a cubic
+CUBIC = str(Path(__file__).parent / "data" / "cubic_preimage.json")
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -160,6 +165,51 @@ class TestTable2:
         assert data["7.30"][4] == "73/10"
         assert data["7.30"][5] == "1/4 and 7/5"
         assert data["7.30"][6] == "73/70"
+
+
+    def check_exact_preimages(self, capsys, model, group, rates):
+        """Every fraction in interest_exact has the row's exact relative
+        price; every bracket "(lo, hi)" holds a sign change of
+        F - p * x**lag, that is of the relative price minus p."""
+        assert cli.main(["table2", "--model", model, "--group", group,
+                         "--rates", rates, "--exact"]) == 0
+        ts, lags = load_model(model), FactorGroup.of(*map(int, group.split(",")))
+        kinds = []
+        for row in list(csv.reader(capsys.readouterr().out.splitlines()))[1:]:
+            if row[3] == "*":
+                assert row[4:] == ["", "", ""]
+                continue
+            price = F(row[4])
+            entries = row[5].split(" and ")
+            assert len(entries) == len(row[1].split(" and "))
+            for entry in entries:
+                if entry.startswith("("):
+                    lo, hi = (F(end) for end in entry[1:-1].split(", "))
+                    ends = relative_price_curve(ts, lags, [lo, hi])
+                    assert (ends[0].relative_price - price) * (ends[1].relative_price - price) < 0
+                else:
+                    (point,) = relative_price_curve(ts, lags, [F(entry)])
+                    assert point.relative_price == price
+                kinds.append(entry.startswith("("))
+        return kinds
+
+    def test_irrational_preimage_prints_its_bracket(self, capsys):
+        kinds = self.check_exact_preimages(capsys, CUBIC, "1,3,4", "0,50,150")
+        assert sorted(kinds) == [False, False, False, True]
+
+    def test_seeded_exact_preimages(self, capsys, tmp_path):
+        rng = random.Random(27)  # its menus print both kinds of entry
+        kinds = []
+        for k in range(6):
+            labors, lags, _, _, _ = aggregable_menu(rng, rng.randint(2, 5), 2)
+            model = tmp_path / f"m{k}.json"
+            model.write_text(json.dumps({"techniques": [
+                {"name": name, "labor": [str(v) for v in labor]}
+                for name, labor in zip("ab", labors)
+            ]}))
+            group = ",".join(map(str, lags))
+            kinds += self.check_exact_preimages(capsys, str(model), group, "0,10,25,50,120")
+        assert True in kinds and False in kinds
 
 
 class TestCurves:

@@ -8,6 +8,7 @@ import pytest
 import reswitch.factorspace as factorspace
 from oracles import (
     _poly_eval as _poly_value,
+    aggregable_menu,
     bisect_root,
     equal_price_pairs,
     factor_grid,
@@ -165,6 +166,54 @@ class TestRelativePriceCurve:
         ):
             assert a.relative_price == b.relative_price
             assert a.cost_ratio == b.cost_ratio
+
+
+class TestCurveIdentity:
+    """Under relative_price_curve's preconditions technique u costs
+    w * (g_u * F(x) + c_u * x**lag), so the cost ratio at relative price p is
+    (g_a * p + c_a) / (g_b * p + c_b): one ratio for each p. F is scaled to
+    the first technique that uses the group, so each g_u is taken relative
+    to that technique's."""
+
+    GRID = [F(k, 4) for k in range(-3, 13)]
+
+    def test_ratio_is_a_function_of_the_relative_price(self):
+        rng = random.Random(2307)
+        zeros = Counter()
+        for _ in range(60):
+            labors, lags, lag, gs, cs = aggregable_menu(
+                rng, rng.randint(2, 6), rng.randint(1, 2)
+            )
+            ts = TechnologySet(
+                [Technique(f"t{k}", labor) for k, labor in enumerate(labors)],
+                wage=rng.choice((F(1), F(3, 2), F(5, 3))),
+            )
+            group = FactorGroup.of(*lags)
+            owner = next(k for k, g in enumerate(gs) if g)
+            a, b = owner, (1 - owner) % len(gs)
+            ga, gb = gs[a] / gs[owner], gs[b] / gs[owner]
+            zeros.update(g=0 in gs, c=0 in cs)
+            for point in relative_price_curve(ts, group, self.GRID):
+                p = point.relative_price
+                assert point.cost_ratio == (ga * p + cs[a]) / (gb * p + cs[b])
+                for root in interest_rates_for_relative_price(
+                    ts, group, p, self.GRID[0], self.GRID[-1]
+                ):
+                    if root.is_exact:
+                        (partner,) = relative_price_curve(ts, group, [root.lo])
+                        assert partner.relative_price == p
+                        assert partner.cost_ratio == point.cost_ratio
+        assert zeros["g"] and zeros["c"]
+
+    def test_input_outside_group_and_complement_fails_the_precondition(self):
+        rng = random.Random(2308)
+        for _ in range(20):
+            horizon = rng.randint(2, 6)
+            labors, lags, lag, _, _ = aggregable_menu(rng, horizon, 2)
+            labors[rng.randrange(2)].append(F(1))  # an input at lag horizon + 1
+            ts = TechnologySet([Technique("a", labors[0]), Technique("b", labors[1])])
+            with pytest.raises(NonScalarComplementError):
+                relative_price_curve(ts, FactorGroup.of(*lags), self.GRID)
 
 
 class TestPreimages:
