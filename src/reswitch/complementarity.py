@@ -19,6 +19,17 @@ of some other, so the search reads the first such pair off those signs and
 builds one witness. Larger menus fall back to a documented deterministic
 grid search (rational price points rounded exactly from log spacing; all
 cost comparisons at those points remain exact).
+
+The grid search walks the same per_axis**horizon points once per ordered
+lag pair, so one call of `find_complementary_pair` or
+`complementarity_witness` keeps a table from each point's flat index (its
+axis indices read as mixed-radix digits, lag 1 first) to a choice code:
+2 * the chosen technique's index in the collapsed menu, plus 1 on a tie.
+A walk fills a point's entry the first time it reaches it, so
+`chosen_input_vector` runs once per point visited, not once per walk. The
+table is a dict, so its size follows the points a search visits, and it
+lives for one call. Walk order and witnesses are those of a walk without
+it. A search that finds no witness on the grid certifies nothing.
 """
 
 from __future__ import annotations
@@ -76,7 +87,8 @@ class ComplementarityWitness:
 
 
 def _check_prices(ts: TechnologySet, prices: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    vec = tuple(Fraction(p) for p in prices)
+    # Fraction(Fraction) copies through the slow numbers-ABC path
+    vec = tuple(p if type(p) is Fraction else Fraction(p) for p in prices)
     if len(vec) != ts.horizon:
         raise ValueError(f"expected {ts.horizon} prices, got {len(vec)}")
     if any(p <= 0 for p in vec):
@@ -192,38 +204,53 @@ def _grid_values(points: int) -> tuple[Fraction, ...]:
 
 
 def _grid_witness(
-    ts: TechnologySet, j: int, k: int
+    ts: TechnologySet, j: int, k: int, codes: dict[int, int]
 ) -> Optional[ComplementarityWitness]:
+    """The first witness for lags j != k on the price grid, read through
+    codes, the search's table of choice codes by flat grid index."""
     horizon = ts.horizon
     per_axis = GRID_POINTS
     while per_axis > 2 and per_axis**horizon > _GRID_CAP:
         per_axis -= 1
     values = _grid_values(per_axis)
-    # combo holds the prices of the other axes in lag order; p_j goes in
-    # at index j - 1
-    for combo in iter_product(values, repeat=horizon - 1):
-        before_j, after_j = combo[: j - 1], combo[j - 1 :]
-        prev: Optional[TechniqueChoice] = None
-        prev_pj: Optional[Fraction] = None
-        for pj in values:
-            prices = [*before_j, pj, *after_j]
-            choice = chosen_input_vector(ts, prices)
+    n = len(values)
+    stride = n ** (horizon - j)  # place value of lag j's digit
+    techniques = ts.techniques
+    position = {t.name: idx for idx, t in enumerate(techniques)}
+    demand_k = [t.labor[k - 1] for t in techniques]
+    # combo holds the axis indices of the other lags in lag order; p_j goes
+    # in at index j - 1
+    for combo in iter_product(range(n), repeat=horizon - 1):
+        digits = (*combo[: j - 1], 0, *combo[j - 1 :])
+        base = 0
+        for d in digits:
+            base = base * n + d
+        prices = [values[d] for d in digits]
+        prev = 0
+        for idx, pj in enumerate(values):
+            flat = base + idx * stride
+            code = codes.get(flat)
+            if code is None:
+                prices[j - 1] = pj
+                choice = chosen_input_vector(ts, prices)
+                code = codes[flat] = 2 * position[choice.technique] + choice.is_tie
             if (
-                prev is not None
-                and not prev.is_tie
-                and not choice.is_tie
-                and choice.vector[k - 1] < prev.vector[k - 1]
+                idx
+                and not (prev | code) & 1
+                and demand_k[code >> 1] < demand_k[prev >> 1]
             ):
+                before, after = techniques[prev >> 1], techniques[code >> 1]
+                prices[j - 1] = values[idx - 1]
                 return ComplementarityWitness(
                     pair=(j, k),
-                    base_prices=(*before_j, prev_pj, *after_j),
+                    base_prices=tuple(prices),
                     raised_price=pj,
-                    demand_before=prev.vector,
-                    demand_after=choice.vector,
-                    technique_before=prev.technique,
-                    technique_after=choice.technique,
+                    demand_before=before.labor,
+                    demand_after=after.labor,
+                    technique_before=before.name,
+                    technique_after=after.name,
                 )
-            prev, prev_pj = choice, pj
+            prev = code
     return None
 
 
@@ -247,18 +274,19 @@ def complementarity_witness(
     for lag in (j, k):
         if lag < 1 or lag > ts.horizon:
             raise ValueError(f"lag {lag} outside horizon 1..{ts.horizon}")
-    return _pair_witness(_distinct(ts), j, k)
+    return _pair_witness(_distinct(ts), j, k, {})
 
 
 def _pair_witness(
-    distinct: TechnologySet, j: int, k: int
+    distinct: TechnologySet, j: int, k: int, codes: dict[int, int]
 ) -> Optional[ComplementarityWitness]:
-    """The search for checked lags j != k on a menu of distinct profiles."""
+    """The search for checked lags j != k on a menu of distinct profiles;
+    codes is the grid table of the calling search."""
     if len(distinct) == 1:
         return None
     if len(distinct) == 2:
         return _analytic_two_technique_witness(distinct, _labor_difference(distinct), j, k)
-    return _grid_witness(distinct, j, k)
+    return _grid_witness(distinct, j, k, codes)
 
 
 def find_complementary_pair(ts: TechnologySet) -> Optional[ComplementarityWitness]:
@@ -270,11 +298,12 @@ def find_complementary_pair(ts: TechnologySet) -> Optional[ComplementarityWitnes
         if pair is None:
             return None
         return _analytic_two_technique_witness(distinct, diff, *pair)
+    codes: dict[int, int] = {}
     for j in range(1, ts.horizon + 1):
         for k in range(1, ts.horizon + 1):
             if j == k:
                 continue
-            witness = _pair_witness(distinct, j, k)
+            witness = _pair_witness(distinct, j, k, codes)
             if witness is not None:
                 return witness
     return None

@@ -33,6 +33,8 @@ class Technique:
     labor[t-1] is the labor applied t periods before completion (1-based
     lags; there is no lag-0 input, so cost polynomials have zero constant
     term). Profiles must be nonnegative and not identically zero.
+    support holds the lags with positive labor, in order; it is set once
+    here and is no field, so repr and == read name and labor alone.
     """
 
     name: str
@@ -52,6 +54,9 @@ class Technique:
             raise ModelFormatError(f"technique {name!r} uses no labor at all")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labor", values)
+        object.__setattr__(
+            self, "support", tuple(t for t, v in enumerate(values, start=1) if v.numerator > 0)
+        )
 
     @property
     def horizon(self) -> int:
@@ -62,10 +67,6 @@ class Technique:
         if t < 1:
             raise ValueError("lags are 1-based")
         return self.labor[t - 1] if t <= self.horizon else Fraction(0)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(t for t, v in enumerate(self.labor, start=1) if v.numerator > 0)
 
     def padded(self, horizon: int) -> "Technique":
         if horizon < self.horizon:

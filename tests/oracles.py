@@ -11,8 +11,9 @@ midpoint, direct cheapest-technique evaluation, a grid scan of a dominance
 map against it and the grid cells where the cheapest technique changes, an
 exact-grid re-check of the factor-price collapse, seeded menus built to meet
 the relative-price curve's preconditions, the floating-point log-spaced
-price grid, and Python's own int-to-str conversion with its digit limit
-lifted.
+price grid, a per-pair walk of the complementarity grid that computes every
+point's choice afresh, and Python's own int-to-str conversion with its digit
+limit lifted.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ import contextlib
 import math
 import sys
 from fractions import Fraction
+from itertools import product as iter_product
+
+from reswitch import complementarity
+from reswitch.complementarity import ComplementarityWitness, chosen_input_vector
 
 
 def scan_sign_roots(coeffs, lo, hi, denom=1024, refine_iters=40):
@@ -504,6 +509,41 @@ def log_grid(points, lo, hi):
         if not out or approx > out[-1]:
             out.append(approx)
     return out
+
+
+def grid_witness(ts, j, k):
+    """The complementarity grid search's witness for lags j != k on ts, a
+    menu of three or more distinct profiles, by one walk of the grid for
+    this pair alone that calls `chosen_input_vector` at every point it
+    reaches: the other axes in lag order, each lexicographically, p_j
+    innermost. GRID_POINTS and _GRID_CAP are read at call time."""
+    horizon = ts.horizon
+    per_axis = complementarity.GRID_POINTS
+    while per_axis > 2 and per_axis**horizon > complementarity._GRID_CAP:
+        per_axis -= 1
+    values = complementarity._grid_values(per_axis)
+    for combo in iter_product(values, repeat=horizon - 1):
+        before_j, after_j = combo[: j - 1], combo[j - 1 :]
+        prev = prev_pj = None
+        for pj in values:
+            choice = chosen_input_vector(ts, [*before_j, pj, *after_j])
+            if (
+                prev is not None
+                and not prev.is_tie
+                and not choice.is_tie
+                and choice.vector[k - 1] < prev.vector[k - 1]
+            ):
+                return ComplementarityWitness(
+                    pair=(j, k),
+                    base_prices=(*before_j, prev_pj, *after_j),
+                    raised_price=pj,
+                    demand_before=prev.vector,
+                    demand_after=choice.vector,
+                    technique_before=prev.technique,
+                    technique_after=choice.technique,
+                )
+            prev, prev_pj = choice, pj
+    return None
 
 
 @contextlib.contextmanager

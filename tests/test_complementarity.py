@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from reswitch import (
     find_complementary_pair,
     samuelson_example,
 )
+from reswitch.cli import load_model
 from reswitch.complementarity import (
     GRID_HI,
     GRID_LO,
@@ -23,7 +25,10 @@ from reswitch.complementarity import (
 )
 from reswitch.harness import GeneratorConfig, generate_technology
 
-from oracles import log_grid
+from oracles import grid_witness, log_grid
+
+DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).parent.parent / "bench"
 
 TS = samuelson_example()
 
@@ -427,6 +432,140 @@ class TestGridFallback:
 
     def test_grid_is_memoised(self):
         assert _grid_values(37) is _grid_values(37)
+
+
+def oracle_walks(ts):
+    """Each ordered lag pair (j, k) with the witness of its per-pair walk on
+    ts collapsed to distinct profiles, lazily in lexicographic order."""
+    distinct = TechnologySet(ts.distinct_profiles()[0], ts.wage)
+    lags = range(1, ts.horizon + 1)
+    for j in lags:
+        for k in lags:
+            if j != k:
+                yield (j, k), grid_witness(distinct, j, k)
+
+
+def first_witness(walks):
+    return next((w for _, w in walks if w is not None), None)
+
+
+def seeded_grid_menus(count, seed):
+    """Menus of 3-5 techniques with at least three distinct profiles, at
+    horizons 2, 3, 2, 3, 4 in turn, each with a GRID_POINTS of 6-10 (6 at
+    horizon 4, whose grid is largest). Labor is small integers, and many
+    menus hold a profile and its reverse, which tie wherever every price is
+    equal: the grid has such points. About a third hold a clone of another
+    technique, listed after it or before it."""
+    rng = random.Random(seed)
+    menus = []
+    while len(menus) < count:
+        horizon = (2, 3, 2, 3, 4)[len(menus) % 5]
+        size = rng.randint(3, 5)
+        profiles = []
+        while len(profiles) < size:
+            prof = tuple(rng.randint(0, 4) for _ in range(horizon))
+            if not any(prof):
+                continue
+            profiles.append(prof)
+            if len(profiles) < size and rng.random() < 0.5:
+                profiles.append(prof[::-1])
+        if rng.random() < 0.35:
+            profiles.insert(rng.randrange(len(profiles) + 1), rng.choice(profiles))
+        if len(set(profiles)) < 3:
+            continue
+        ts = TechnologySet(Technique(f"t{n}", p) for n, p in enumerate(profiles))
+        menus.append((ts, rng.randint(6, 10) if horizon < 4 else 6))
+    return menus
+
+
+class TestGridTable:
+    """One search computes each grid point's choice once, and returns the
+    witness of the per-pair walk (`oracles.grid_witness`)."""
+
+    @pytest.mark.parametrize(
+        "profiles, calls",
+        [
+            (((1, 3), (2, 2), (3, 1)), 8**2),
+            (((1, 2, 3), (2, 2, 2), (3, 2, 1)), 8**3),
+        ],
+    )
+    def test_each_point_chosen_once(self, monkeypatch, profiles, calls):
+        # substitutes with ties on the diagonal: every walk runs to the end,
+        # so each of the 8**horizon points is reached by all h(h - 1) walks
+        monkeypatch.setattr(complementarity, "GRID_POINTS", 8)
+        assert len(_grid_values(8)) == 8
+        seen = []
+        original = complementarity.chosen_input_vector
+
+        def counting(ts, prices):
+            seen.append(tuple(prices))
+            return original(ts, prices)
+
+        monkeypatch.setattr(complementarity, "chosen_input_vector", counting)
+        ts = TechnologySet(Technique(f"t{n}", p) for n, p in enumerate(profiles))
+        assert find_complementary_pair(ts) is None
+        assert len(seen) == len(set(seen)) == calls
+        seen.clear()
+        assert complementarity_witness(ts, (2, 1)) is None
+        assert len(seen) == calls
+
+    def test_matches_per_pair_walk(self, monkeypatch):
+        ties = [0]
+        original = complementarity.chosen_input_vector
+
+        def tie_counting(ts, prices):
+            choice = original(ts, prices)
+            ties[0] += choice.is_tie
+            return choice
+
+        monkeypatch.setattr(complementarity, "chosen_input_vector", tie_counting)
+        found = none = clones = 0
+        horizons, grids = set(), set()
+        for ts, points in seeded_grid_menus(20, 2024):
+            monkeypatch.setattr(complementarity, "GRID_POINTS", points)
+            walks = dict(oracle_walks(ts))
+            assert find_complementary_pair(ts) == first_witness(walks.items()), [
+                t.labor for t in ts
+            ]
+            for pair, want in walks.items():
+                assert complementarity_witness(ts, pair) == want, (pair, [t.labor for t in ts])
+                found += want is not None
+                none += want is None
+            horizons.add(ts.horizon)
+            grids.add(points)
+            clones += len(ts.distinct_profiles()[0]) < len(ts)
+        assert horizons == {2, 3, 4} and grids == set(range(6, 11))
+        assert found >= 25 and none >= 50 and clones >= 5 and ties[0] >= 1000
+
+    def test_planted_hatta_menus_at_full_grid(self, monkeypatch):
+        # the benchmark's hatta menus: two horizon-2 menus of 3-8 techniques
+        # that exhaust the grid, then one planted horizon-3 menu
+        monkeypatch.syspath_prepend(str(BENCH))
+        from workloads import hatta_request
+
+        assert complementarity.GRID_POINTS == 50
+        planted = 0
+        for index in range(15):
+            request = hatta_request(7, index, "")
+            first = first_witness(oracle_walks(request.menu))
+            if request.planted:
+                planted += 1
+                # the search stops at its first witness, on lag pair (1, 2)
+                assert first is not None and first.pair == (1, 2)
+                assert complementarity_witness(request.menu, (1, 2)) == first
+            assert find_complementary_pair(request.menu) == first
+
+        assert planted == 5
+
+    @pytest.mark.parametrize("model", ["grid_four.json", "grid_three.json"])
+    def test_baseline_models(self, monkeypatch, model):
+        # the two horizon-4 baseline menus of the ROADMAP, on a coarse grid
+        monkeypatch.setattr(complementarity, "GRID_POINTS", 5)
+        ts = load_model(str(DATA / model))
+        walks = dict(oracle_walks(ts))
+        assert find_complementary_pair(ts) == first_witness(walks.items())
+        for pair, want in walks.items():
+            assert complementarity_witness(ts, pair) == want
 
 
 class TestHattaNecessity:
