@@ -281,7 +281,7 @@ def cmd_curves(args) -> int:
             raise ModelFormatError("figure2 needs exactly two techniques")
         first, second = ts.techniques
         column, exact_column, scale = "interest_pct", "interest_exact", 100
-        points = cost_ratio_curve(second, first, grid, ts.wage)
+        points = cost_ratio_curve(second, first, grid)
     else:
         # the cost ratio is a function of the relative price p alone: each
         # technique costs w * (g * F + c * x**lag), so the ratio is

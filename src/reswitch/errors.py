@@ -33,9 +33,5 @@ class NoRootError(ReswitchError):
     """No interest rate in the domain attains the requested value."""
 
 
-class DivisionByZeroError(ReswitchError):
-    """A cost ratio was requested where the denominator cost vanishes."""
-
-
 class ModelFormatError(ReswitchError):
     """A model file failed schema or rational-string validation."""

@@ -324,8 +324,9 @@ def curve_minimum(
     f_poly = aggregate_polynomial(ts, group)
     owner, other = _curve_techniques(ts, group)
     cleared = Polynomial(c * (t - lag) for t, c in enumerate(f_poly.coeffs))
-    if cleared.is_zero:
-        return None
+    # cleared is nonzero: the bundle has a nonzero lag t != lag. Brackets lie
+    # in [xlo, xhi] and refine_root returns a point strictly inside one, so
+    # only the exact roots on an edge need dropping
     candidates = [
         r for r in isolate_roots_closed(cleared, xlo, xhi) if xlo < r.hi and r.lo < xhi
     ]
@@ -336,8 +337,6 @@ def curve_minimum(
     best: Optional[tuple[Fraction, Fraction, RootInterval]] = None
     for cand in candidates:
         x_star = refine_root(cand, cleared, MIN_REFINE_TOL)
-        if not (xlo < x_star < xhi):
-            continue
         value = rel_at(x_star)
         if best is None or value < best[0]:
             best = (value, x_star, cand)
@@ -356,8 +355,6 @@ def curve_minimum(
 
 
 def _integer_nth_root(n: int, k: int) -> Optional[int]:
-    if n < 0:
-        return None
     root = integer_root(n, k)
     return root if root**k == n else None
 
@@ -386,10 +383,12 @@ def symmetric_interest_pairs(
     alpha = lag - s
     if alpha <= 0 or u - lag != alpha:
         return []
+    if not bundle[u]:  # F is b_s * x**s alone, so the relative price is monotone
+        return []
     q = bundle[s] / bundle[u]
     num = _integer_nth_root(q.numerator, alpha)
     den = _integer_nth_root(q.denominator, alpha)
-    if num is None or den is None or den == 0:
+    if num is None or den is None:
         return []
     product = Fraction(num, den)  # x * x' on every equal-price pair
     if xhi <= xlo:  # an empty domain; xhi may be 0

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .complementarity import find_complementary_pair
 from .factorspace import support_groups, verify_single_switch
-from .model import Technique, TechnologySet, samuelson_example
+from .model import Technique, TechnologySet
 from .switching import _cost_rows, detect_reswitching
 
 _MASK64 = (1 << 64) - 1
@@ -110,10 +110,7 @@ def _planted_two_switch(rng: random.Random, horizon: int) -> list[list[Fraction]
 
 
 def generate_technology(cfg: GeneratorConfig, trial_index: int) -> TechnologySet:
-    """Deterministic technology for one trial; index -1 injects the
-    champagne-example fixture."""
-    if trial_index == -1:
-        return samuelson_example()
+    """Deterministic technology for one trial."""
     rng = random.Random(trial_seed(cfg.seed, trial_index))
     horizon = rng.randint(cfg.horizon_min, cfg.horizon_max)
 
@@ -266,7 +263,6 @@ def run_falsification(cfg: GeneratorConfig) -> FalsificationReport:
     reswitch_trials: list[int] = []
     missing: list[int] = []
     counterexamples: list[str] = []
-    confirmed = 0
     verified = 0
     unmet = 0
     tangencies = 0
@@ -283,11 +279,8 @@ def run_falsification(cfg: GeneratorConfig) -> FalsificationReport:
         if not report.reswitching:
             continue
         reswitch_trials.append(idx)
-        witness = find_complementary_pair(ts)
-        if witness is None:
+        if find_complementary_pair(ts) is None:
             missing.append(idx)
-        else:
-            confirmed += 1
         verdict_state: Optional[bool] = None
         for group in support_groups(ts):
             verdict = verify_single_switch(ts, group, lo, hi)
@@ -311,7 +304,7 @@ def run_falsification(cfg: GeneratorConfig) -> FalsificationReport:
         trials_run=cfg.trials,
         reswitching_found=len(reswitch_trials),
         reswitching_trials=tuple(reswitch_trials),
-        complementary_confirmed=confirmed,
+        complementary_confirmed=len(reswitch_trials) - len(missing),
         missing_complementary=tuple(missing),
         theorem_verified=verified,
         theorem_precondition_unmet=unmet,

@@ -214,11 +214,7 @@ class TechnologySet:
 
     def positive_lags(self) -> tuple[int, ...]:
         """Lags used with positive labor by at least one technique."""
-        out = []
-        for t in range(1, self.horizon + 1):
-            if any(tech.lag(t) > 0 for tech in self.techniques):
-                out.append(t)
-        return tuple(out)
+        return tuple(sorted({t for tech in self.techniques for t in tech.support}))
 
 
 def samuelson_example() -> TechnologySet:

@@ -62,7 +62,7 @@ from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import DivisionByZeroError, DomainError, IdenticalTechniquesError
+from .errors import DomainError, IdenticalTechniquesError
 from .model import Technique, TechnologySet
 from .polynomial import (
     ODD,
@@ -617,15 +617,13 @@ def cost_ratio_curve(
     numerator: Technique,
     denominator: Technique,
     interest_grid: Sequence[Fraction],
-    wage: Fraction = Fraction(1),
 ) -> list[tuple[Fraction, Fraction]]:
-    """Exact cost ratio numerator/denominator at each grid interest rate."""
-    out = []
-    for i in interest_grid:
-        below = denominator.cost_at(wage, i)
-        if below == 0:
-            raise DivisionByZeroError(
-                f"cost of {denominator.name!r} vanishes at interest {i}"
-            )
-        out.append((Fraction(i), numerator.cost_at(wage, i) / below))
-    return out
+    """Exact cost ratio numerator/denominator at each grid interest rate.
+
+    The wage scales both costs alike, so the ratio is read at unit wage; a
+    nonzero labor profile costs more than nothing at every rate above -100%.
+    """
+    return [
+        (Fraction(i), numerator.cost_at(1, i) / denominator.cost_at(1, i))
+        for i in interest_grid
+    ]

@@ -243,6 +243,19 @@ class TestCurves:
         prices = [F(r[2]) for r in rows]
         assert len(prices) == len(set(prices))  # duplicates collapsed consistently
 
+    def test_figure2_does_not_depend_on_the_wage(self, tmp_path):
+        outputs = []
+        for wage in ("1", "3/2"):
+            model = tmp_path / "wage.json"
+            model.write_text(json.dumps({"wage": wage, "techniques": [
+                {"name": "a", "labor": ["0", "7", "0", "0"]},
+                {"name": "b", "labor": ["6", "0", "2", "1/3"]},
+            ]}))
+            cp = run_cli("curves", "figure2", "--model", str(model), "--exact")
+            assert cp.returncode == 0, cp.stderr
+            outputs.append(cp.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_bad_step_usage_error(self):
         cp = run_cli("curves", "figure2", "--model", MODEL, "--grid", "0:200:0")
         assert cp.returncode == 2
@@ -539,8 +552,8 @@ class TestAnalyze:
 
 class TestGoldenOutputs:
     """sha256 of stdout on the champagne model, of `analyze` on a menu with a
-    clone, irrational ties and wage 3/2, and of two falsify reports; any
-    changed byte fails."""
+    clone, irrational ties and wage 3/2, of two falsify reports, and of the
+    curve commands on a cubic-preimage model; any changed byte fails."""
 
     @pytest.mark.parametrize(
         "args, digest",
@@ -578,6 +591,21 @@ class TestGoldenOutputs:
             (
                 ("analyze", "--model", CLONE_IRR),
                 "54adb610746437268528e48d0becafc01f73c24fe838e9a40a63a37252d79829",
+            ),
+            # a group of three lags, where the collapse identity does not hold
+            (
+                ("table2", "--model", CUBIC, "--group", "1,3,4",
+                 "--rates", "0,25,50,150", "--exact"),
+                "741c006341c014aa78ef7465780bc0a7172bf42f448d52f5263f4f0e7e78fd61",
+            ),
+            (
+                ("curves", "figure3", "--model", CUBIC, "--group", "1,3,4",
+                 "--grid", "0:200:25", "--exact"),
+                "f11939f9ee1fc8b34c92b000cfdf805122a240d79e34516fa6fb6d81394cd8e6",
+            ),
+            (
+                ("curves", "figure2", "--model", CUBIC, "--exact"),
+                "620506ea0f16edea6e3c30172f14fbee0d1bd4e176c295097020e99413267df2",
             ),
         ],
     )

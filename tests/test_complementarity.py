@@ -568,6 +568,35 @@ class TestGridTable:
             assert complementarity_witness(ts, pair) == want
 
 
+class TestTwoInputs:
+    """With two inputs no pair is complementary. Say u is chosen strictly at
+    p and v strictly at p' (p with p1 raised). Then p.u < p.v and
+    p'.v < p'.u give u1 > v1 and p2 (u2 - v2) < p1 (v1 - u1) < 0, so the
+    demand for input 2 rises; the same holds with p2 raised. Every search on
+    a horizon-2 menu must come back empty."""
+
+    def test_no_witness_at_horizon_two(self, monkeypatch):
+        rng = random.Random(2)
+        sizes, clones = set(), 0
+        for n in range(40):
+            monkeypatch.setattr(complementarity, "GRID_POINTS", 6 + n % 5)
+            size = 2 + n % 7
+            profiles = []
+            while len(profiles) < size:
+                prof = (rng.randint(0, 9), rng.randint(0, 9))
+                if any(prof) and prof not in profiles:
+                    profiles.append(prof)
+            if n % 3 == 0:
+                profiles.insert(rng.randrange(size + 1), rng.choice(profiles))
+                clones += 1
+            ts = TechnologySet(Technique(f"t{k}", p) for k, p in enumerate(profiles))
+            assert find_complementary_pair(ts) is None, profiles
+            assert complementarity_witness(ts, (1, 2)) is None, profiles
+            assert complementarity_witness(ts, (2, 1)) is None, profiles
+            sizes.add(len(ts.distinct_profiles()[0]))
+        assert sizes == set(range(2, 9)) and clones >= 10
+
+
 class TestHattaNecessity:
     def test_reswitching_implies_complementary_pair(self):
         cfg = GeneratorConfig(seed=77, trials=160)

@@ -297,6 +297,15 @@ class TestSymmetricPairs:
         ts = TechnologySet([Technique("s", (0, 5, 0, 0)), Technique("w", (3, 0, 0, 1))])
         assert symmetric_interest_pairs(ts, FactorGroup.of(1, 4), 10) == []
 
+    def test_bundle_zero_at_the_upper_lag(self):
+        # the bundle is (3, 0) on lags 1, 3: F = 3x is one power of x, so the
+        # relative price 3x / x**2 is strictly monotone and no two rates share it
+        ts = TechnologySet([Technique("s", (0, 5, 0)), Technique("w", (3, 0, 0))])
+        group = FactorGroup.of(1, 3)
+        assert leontief_sono_check(ts, group)
+        assert scalar_complement_lag(ts, group) == 2
+        assert symmetric_interest_pairs(ts, group, 5) == []
+
     def test_empty_domain_gives_no_pairs(self):
         # hi = -1 puts the domain's upper end at x = 0, which no pair divides by
         assert symmetric_interest_pairs(TS, G13, 5, F(-1, 2), F(-1)) == []

@@ -42,12 +42,6 @@ class TestGenerator:
             assert set(a.support) & set(b.support) == set()
             assert a.support and b.support
 
-    def test_fixture_trial(self):
-        cfg = GeneratorConfig(seed=123, trials=1)
-        ts = generate_technology(cfg, -1)
-        assert [t.labor for t in ts] == [(0, 7, 0), (6, 0, 2)]
-        assert detect_reswitching(ts).reswitching
-
     def test_seed_mixing_spreads(self):
         seeds = {trial_seed(1, i) for i in range(100)}
         assert len(seeds) == 100

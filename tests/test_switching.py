@@ -26,7 +26,6 @@ import reswitch.harness as harness
 import reswitch.polynomial as polynomial
 import reswitch.switching as switching
 from reswitch import (
-    DivisionByZeroError,
     DominanceMap,
     DomainError,
     IdenticalTechniquesError,
@@ -1141,14 +1140,13 @@ class TestCostRatioCurve:
         assert values.count(F(73, 70)) == 2
         assert values.count(F(1)) == 2
 
-    def test_zero_wage_division_error(self):
-        with pytest.raises(DivisionByZeroError):
-            cost_ratio_curve(B, A, [F(1)], wage=F(0))
-
     def test_unequal_horizons_match_padded_copies(self):
         short, long = Technique("s", (2, F(1, 3))), Technique("l", (1, 0, F(5, 2)))
         grid = [F(-1, 2), F(0), F(1, 3), F(1), F(5, 2)]
         for num, den in ((short, long), (long, short)):
-            padded = cost_ratio_curve(num.padded(3), den.padded(3), grid, F(3, 2))
-            for got, want in zip(cost_ratio_curve(num, den, grid, F(3, 2)), padded, strict=True):
+            padded = cost_ratio_curve(num.padded(3), den.padded(3), grid)
+            for got, want in zip(cost_ratio_curve(num, den, grid), padded, strict=True):
                 assert got == want
+            # the ratio at wage 3/2 is the ratio the curve reads at unit wage
+            for i, ratio in padded:
+                assert ratio == num.cost_at(F(3, 2), i) / den.cost_at(F(3, 2), i)
