@@ -53,7 +53,7 @@ from .rationals import (
     parse_rational,
     quote_short,
 )
-from .switching import MenuAnalysis, cost_ratio_curve, detect_reswitching
+from .switching import DEFAULT_HI, DEFAULT_LO, MenuAnalysis, cost_ratio_curve, detect_reswitching
 
 MIN_ROW_PLACES = 4  # the starred minimum row keeps extra digits
 MAX_GRID_POINTS = 100_001  # cap on `curves --grid`, checked before allocating
@@ -234,7 +234,7 @@ def cmd_table2(args) -> int:
     group = model_group(ts, args.group, "table2")
     rates = parse_rate_list(args.rates, args.unit)
     places = args.places
-    domain_lo, domain_hi = min([Fraction(0)] + rates), max([Fraction(2)] + rates)
+    domain_lo, domain_hi = min([DEFAULT_LO] + rates), max([DEFAULT_HI] + rates)
 
     # one row per distinct relative price; preimages, which come sorted,
     # fill in the other rates
@@ -311,7 +311,7 @@ def _switch_point_json(sp, places: int) -> dict:
 
 def cmd_analyze(args) -> int:
     ts = load_model(args.model)
-    lo, hi = (Fraction(0), Fraction(2))
+    lo, hi = DEFAULT_LO, DEFAULT_HI
     if args.domain:
         lo, hi = parse_domain(args.domain, args.unit)
     places = args.places
@@ -482,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full JSON analysis of one model")
     add_common(pa, exact=False)  # the JSON carries every exact value
-    pa.add_argument("--domain", help="interest domain LO:HI (default 0:200)")
+    pa.add_argument(
+        "--domain", help=f"interest domain LO:HI (default {DEFAULT_LO * 100}:{DEFAULT_HI * 100})"
+    )
     pa.set_defaults(func=cmd_analyze)
 
     pf = sub.add_parser("falsify", help="seeded random falsification run")

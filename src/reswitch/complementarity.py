@@ -22,14 +22,13 @@ cost comparisons at those points remain exact).
 
 The grid search walks the same per_axis**horizon points once per ordered
 lag pair, so one call of `find_complementary_pair` or
-`complementarity_witness` keeps a table from each point's flat index (its
-axis indices read as mixed-radix digits, lag 1 first) to a choice code:
-2 * the chosen technique's index in the collapsed menu, plus 1 on a tie.
-A walk fills a point's entry the first time it reaches it, so
-`chosen_input_vector` runs once per point visited, not once per walk. The
-table is a dict, so its size follows the points a search visits, and it
-lives for one call. Walk order and witnesses are those of a walk without
-it. A search that finds no witness on the grid certifies nothing.
+`complementarity_witness` keeps a table from each point's axis indices to
+a choice code: 2 * the chosen technique's index in the collapsed menu,
+plus 1 on a tie. A walk fills a point's entry the first time it reaches
+it, so `chosen_input_vector` runs once per point visited, not once per
+walk; the table lives for one call. Walk order and witnesses are those of
+a walk without it. A search that finds no witness on the grid certifies
+nothing.
 """
 
 from __future__ import annotations
@@ -204,36 +203,32 @@ def _grid_values(points: int) -> tuple[Fraction, ...]:
 
 
 def _grid_witness(
-    ts: TechnologySet, j: int, k: int, codes: dict[int, int]
+    ts: TechnologySet, j: int, k: int, codes: dict[tuple[int, ...], int]
 ) -> Optional[ComplementarityWitness]:
     """The first witness for lags j != k on the price grid, read through
-    codes, the search's table of choice codes by flat grid index."""
+    codes, the search's table of choice codes by axis indices."""
     horizon = ts.horizon
     per_axis = GRID_POINTS
     while per_axis > 2 and per_axis**horizon > _GRID_CAP:
         per_axis -= 1
     values = _grid_values(per_axis)
     n = len(values)
-    stride = n ** (horizon - j)  # place value of lag j's digit
     techniques = ts.techniques
     position = {t.name: idx for idx, t in enumerate(techniques)}
     demand_k = [t.labor[k - 1] for t in techniques]
     # combo holds the axis indices of the other lags in lag order; p_j goes
     # in at index j - 1
     for combo in iter_product(range(n), repeat=horizon - 1):
-        digits = (*combo[: j - 1], 0, *combo[j - 1 :])
-        base = 0
-        for d in digits:
-            base = base * n + d
-        prices = [values[d] for d in digits]
+        head, tail = combo[: j - 1], combo[j - 1 :]
+        prices = [values[d] for d in (*head, 0, *tail)]
         prev = 0
         for idx, pj in enumerate(values):
-            flat = base + idx * stride
-            code = codes.get(flat)
+            point = (*head, idx, *tail)
+            code = codes.get(point)
             if code is None:
                 prices[j - 1] = pj
                 choice = chosen_input_vector(ts, prices)
-                code = codes[flat] = 2 * position[choice.technique] + choice.is_tie
+                code = codes[point] = 2 * position[choice.technique] + choice.is_tie
             if (
                 idx
                 and not (prev | code) & 1
@@ -278,7 +273,7 @@ def complementarity_witness(
 
 
 def _pair_witness(
-    distinct: TechnologySet, j: int, k: int, codes: dict[int, int]
+    distinct: TechnologySet, j: int, k: int, codes: dict[tuple[int, ...], int]
 ) -> Optional[ComplementarityWitness]:
     """The search for checked lags j != k on a menu of distinct profiles;
     codes is the grid table of the calling search."""
@@ -298,7 +293,7 @@ def find_complementary_pair(ts: TechnologySet) -> Optional[ComplementarityWitnes
         if pair is None:
             return None
         return _analytic_two_technique_witness(distinct, diff, *pair)
-    codes: dict[int, int] = {}
+    codes: dict[tuple[int, ...], int] = {}
     for j in range(1, ts.horizon + 1):
         for k in range(1, ts.horizon + 1):
             if j == k:

@@ -40,7 +40,7 @@ from .polynomial import (
     refine_root,
 )
 from .rationals import integer_root, quote_short
-from .switching import APPROX_TOL, _domain_start
+from .switching import APPROX_TOL, DEFAULT_HI, DEFAULT_LO, _domain_start
 
 MIN_REFINE_TOL = Fraction(1, 10**12)
 
@@ -255,8 +255,8 @@ def interest_rates_for_relative_price(
     ts: TechnologySet,
     group: FactorGroup,
     target: Fraction,
-    lo: Fraction = Fraction(0),
-    hi: Fraction = Fraction(2),
+    lo: Fraction = DEFAULT_LO,
+    hi: Fraction = DEFAULT_HI,
 ) -> list[RootInterval]:
     """All interest rates in [lo, hi] where F/complement-rental hits target.
 
@@ -309,8 +309,8 @@ class CurveMinimum:
 def curve_minimum(
     ts: TechnologySet,
     group: FactorGroup,
-    lo: Fraction = Fraction(0),
-    hi: Fraction = Fraction(2),
+    lo: Fraction = DEFAULT_LO,
+    hi: Fraction = DEFAULT_HI,
 ) -> Optional[CurveMinimum]:
     """The interior global minimum of F/complement-rental on [lo, hi], if any.
 
@@ -363,8 +363,8 @@ def symmetric_interest_pairs(
     ts: TechnologySet,
     group: FactorGroup,
     count: int,
-    lo: Fraction = Fraction(0),
-    hi: Fraction = Fraction(2),
+    lo: Fraction = DEFAULT_LO,
+    hi: Fraction = DEFAULT_HI,
 ) -> list[tuple[Fraction, Fraction]]:
     """Exact pairs of distinct interest rates with identical relative price.
 
@@ -437,8 +437,8 @@ def _crossing(
 def verify_single_switch(
     ts: TechnologySet,
     group: FactorGroup,
-    lo: Fraction = Fraction(0),
-    hi: Fraction = Fraction(2),
+    lo: Fraction = DEFAULT_LO,
+    hi: Fraction = DEFAULT_HI,
 ) -> TheoremVerdict:
     """Check that the cost ratio is a single-valued, strictly monotone
     function of the relative factor price, crossing 1 at most once.

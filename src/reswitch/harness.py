@@ -24,7 +24,7 @@ from typing import Optional
 from .complementarity import find_complementary_pair
 from .factorspace import support_groups, verify_single_switch
 from .model import Technique, TechnologySet
-from .switching import _cost_rows, detect_reswitching
+from .switching import DEFAULT_HI, DEFAULT_LO, _cost_rows, detect_reswitching
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -62,7 +62,8 @@ class GeneratorConfig:
     Coefficients are small rationals (numerator up to NUMERATOR_MAX over a
     denominator from DENOMINATORS) so switch-point polynomials stay low
     degree and isolation stays fast. `structure` controls whether the two
-    techniques' positive lags are forced disjoint or drawn freely.
+    techniques' positive lags are forced disjoint or drawn freely. Every
+    run covers the default interest domain, DEFAULT_LO to DEFAULT_HI.
     """
 
     seed: int
@@ -70,8 +71,6 @@ class GeneratorConfig:
     horizon_min: int = 3
     horizon_max: int = 5
     structure: str = "disjoint"
-    domain_lo: Fraction = Fraction(0)
-    domain_hi: Fraction = Fraction(2)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -184,7 +183,7 @@ class FalsificationReport:
                 "structure": cfg.structure,
                 "disjoint_mix": "40% planted two-switch, 30% bracketed single "
                 "lag, 30% random split",
-                "domain": [str(cfg.domain_lo), str(cfg.domain_hi)],
+                "domain": [str(DEFAULT_LO), str(DEFAULT_HI)],
                 "trial_seed_mixing": "splitmix64(seed xor splitmix64(trial))",
             }
         }
@@ -259,7 +258,7 @@ def _grid_mismatches(ts: TechnologySet, dom, lo: Fraction, hi: Fraction) -> int:
 
 
 def run_falsification(cfg: GeneratorConfig) -> FalsificationReport:
-    lo, hi = cfg.domain_lo, cfg.domain_hi
+    lo, hi = DEFAULT_LO, DEFAULT_HI
     reswitch_trials: list[int] = []
     missing: list[int] = []
     counterexamples: list[str] = []
@@ -281,22 +280,18 @@ def run_falsification(cfg: GeneratorConfig) -> FalsificationReport:
         reswitch_trials.append(idx)
         if find_complementary_pair(ts) is None:
             missing.append(idx)
-        verdict_state: Optional[bool] = None
         for group in support_groups(ts):
             verdict = verify_single_switch(ts, group, lo, hi)
             if verdict.single_switch is True:
-                verdict_state = True
+                verified += 1
                 break
             if verdict.single_switch is False:
-                verdict_state = False
                 counterexamples.append(
                     f"trial {idx}: single-switch violated for group "
                     f"{sorted(group.lags)}: {verdict.counterexample}"
                 )
                 break
-        if verdict_state is True:
-            verified += 1
-        elif verdict_state is None:
+        else:  # no group met the theorem's preconditions
             unmet += 1
 
     return FalsificationReport(

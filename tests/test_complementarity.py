@@ -553,6 +553,17 @@ class TestGridTable:
                 # the search stops at its first witness, on lag pair (1, 2)
                 assert first is not None and first.pair == (1, 2)
                 assert complementarity_witness(request.menu, (1, 2)) == first
+                # one technique uses more of every input than both others, so
+                # it is never chosen, and the exact two-profile search on the
+                # other two finds the grid's pair
+                techs = request.menu.techniques
+                dearest = [
+                    t for t in techs
+                    if all(x > y for u in techs if u is not t for x, y in zip(t.labor, u.labor))
+                ]
+                assert len(dearest) == 1
+                rest = TechnologySet([t for t in techs if t is not dearest[0]])
+                assert find_complementary_pair(rest).pair == first.pair
             assert find_complementary_pair(request.menu) == first
 
         assert planted == 5

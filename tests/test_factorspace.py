@@ -680,7 +680,7 @@ class TestGridOracle:
         for idx in range(cfg.trials):
             ts = generate_technology(cfg, idx)
             for group in support_groups(ts):
-                v = verify_single_switch(ts, group, cfg.domain_lo, cfg.domain_hi)
+                v = verify_single_switch(ts, group)
                 if v.single_switch is not True:
                     continue
                 assert _grid_oracle(ts, group) == [], (idx, sorted(group.lags))

@@ -105,9 +105,15 @@ class TestRun:
         assert report.missing_complementary == ()
 
     def test_wider_domain(self):
-        cfg = GeneratorConfig(seed=2, trials=30, domain_lo=F(0), domain_hi=F(3))
-        report = run_falsification(cfg)
-        assert report.counterexamples == ()
+        # the single-switch verdict on [0, 3] for every support group of the
+        # menus a 30-trial run generates: none is a counterexample
+        cfg = GeneratorConfig(seed=2, trials=30)
+        verdicts = [
+            factorspace.verify_single_switch(ts, group, F(0), F(3)).single_switch
+            for ts in (generate_technology(cfg, idx) for idx in range(cfg.trials))
+            for group in factorspace.support_groups(ts)
+        ]
+        assert all(v is not False for v in verdicts) and True in verdicts
 
 
 def oracle_count(ts, dom, lo, hi):
@@ -136,10 +142,7 @@ class TestGridCheck:
     @pytest.mark.parametrize("structure", ["disjoint", "free"])
     @pytest.mark.parametrize("lo, hi", [(F(0), F(2)), (F(-1, 3), F(5, 7))])
     def test_matches_oracle_on_seeded_trials(self, structure, lo, hi):
-        cfg = GeneratorConfig(
-            seed=1, trials=8, structure=structure, horizon_min=2, horizon_max=6,
-            domain_lo=lo, domain_hi=hi,
-        )
+        cfg = GeneratorConfig(seed=1, trials=8, structure=structure, horizon_min=2, horizon_max=6)
         swapped_total = 0
         horizons = set()
         for idx in range(cfg.trials):
