@@ -49,6 +49,13 @@ step takes the same half as it would over the rationals. Two loops do it:
   lcm * 2**k. It visits the same dyadic midpoints as a Fraction bisection,
   returns a midpoint that is a root exactly, and builds one Fraction, the
   final midpoint.
+
+The public routines take a `Polynomial`; `_isolate_ints` and `_refine_ints`
+do the same work on an integer vector, for callers that already hold one.
+`_domain_variations` carries an integer vector from an interval onto
+(0, oo) by two integer Taylor shifts and counts its sign variations there:
+by Descartes' rule of signs, a bound on the roots in the interval, with
+their parity, found without isolating any.
 """
 
 from __future__ import annotations
@@ -212,9 +219,42 @@ def sturm_chain(p: Polynomial) -> list[Polynomial]:
     return [Polynomial(v) for v in chain]
 
 
-def sign_variations(values: Sequence[Fraction]) -> int:
+def sign_variations(values: Sequence) -> int:
+    """Sign changes along a sequence of ints or Fractions, zeros skipped."""
     signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _taylor_shift(v: Sequence[int], a: int) -> list[int]:
+    """The integer vector of v(x + a), by repeated synthetic division."""
+    out = list(v)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return out
+
+
+def _domain_variations(f: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """The sign variations of g(t) = (1 + t)**n * f((hi + lo*t) / (1 + t)),
+    for an integer vector f of degree n (a nonzero last coefficient) and
+    lo < hi.
+
+    The map sends t in (0, oo) onto x in (lo, hi), with g(0) a positive
+    multiple of f(hi) and g's leading coefficient one of f(lo). So by
+    Descartes' rule of signs the roots of f in the open interval (lo, hi),
+    counted with multiplicity, number at most this count, with the same
+    parity; the mirror map t -> 1/t reverses g's coefficients and keeps the
+    count. With c the common denominator of lo and hi, c**n * g is built in
+    integers: scale to c**n * f(y / c), Taylor-shift by c*lo, scale by
+    c*(hi - lo) (the interval is now (0, 1)), reverse (now (1, oo)), and
+    Taylor-shift by 1.
+    """
+    c = _int_lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (c // lo.denominator), hi.numerator * (c // hi.denominator)
+    n = len(f) - 1
+    shifted = _taylor_shift([v * c ** (n - k) for k, v in enumerate(f)], a)
+    unit = [v * (b - a) ** k for k, v in enumerate(shifted)]
+    return sign_variations(_taylor_shift(unit[::-1], 1))
 
 
 def _cauchy_bound(coeffs: Sequence) -> Fraction:
@@ -414,22 +454,18 @@ def _isolate_irrational(
     return out
 
 
-def _isolate(
-    p: Polynomial, lo: Fraction, hi: Optional[Fraction]
+def _isolate_ints(
+    f: list[int], lo: Fraction, hi: Optional[Fraction]
 ) -> list[RootInterval]:
-    """All distinct real roots of p in the closed domain [lo, hi], sorted.
+    """All distinct real roots in the closed domain [lo, hi], sorted, of the
+    integer vector f, nonzero with a nonzero last coefficient; lo and hi
+    are Fractions.
 
     hi=None means unbounded above (a Cauchy bound caps the search).
     """
-    if p.is_zero:
-        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
+    if len(f) == 1:
         return []
-    lo = Fraction(lo)
-    if hi is not None:
-        hi = Fraction(hi)
-
-    f = _int_vector(p)
+    f = _primitive_ints(f)
     sf = _squarefree_ints(f)
 
     def in_domain(r: Fraction) -> bool:
@@ -442,9 +478,9 @@ def _isolate(
 
     def certified(a: Fraction, b: Fraction) -> RootInterval:
         """The root at a == b, or in the bracket (a, b), with the parity of
-        its multiplicity in p: the order of the first derivative of p not
-        vanishing at the exact root, or whether p changes sign across the
-        bracket, which holds no other root of p and has non-root ends."""
+        its multiplicity in f: the order of the first derivative of f not
+        vanishing at the exact root, or whether f changes sign across the
+        bracket, which holds no other root of f and has non-root ends."""
         odd = _vanishing_order(f, a)[0] % 2 if a == b else _changes_sign(f, a, b)
         return RootInterval(a, b, ODD if odd else EVEN)
 
@@ -452,6 +488,18 @@ def _isolate(
     found += [certified(a, b) for a, b in brackets]
     found.sort(key=lambda iv: (iv.lo, iv.hi))
     return found
+
+
+def _isolate(
+    p: Polynomial, lo: Fraction, hi: Optional[Fraction]
+) -> list[RootInterval]:
+    """`_isolate_ints` on the integer vector of p, with lo and hi taken as
+    Fractions."""
+    if p.is_zero:
+        raise ZeroPolynomialError("cannot isolate roots of the zero polynomial")
+    return _isolate_ints(
+        _int_vector(p), Fraction(lo), None if hi is None else Fraction(hi)
+    )
 
 
 def isolate_real_roots(
@@ -489,8 +537,13 @@ def refine_root(interval: RootInterval, p: Polynomial, tol: Fraction) -> Fractio
     tol = tol if type(tol) is Fraction else Fraction(tol)
     if tol.numerator <= 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = interval.lo, interval.hi
-    s = _bisection_poly(_int_vector(p), lo, hi)
+    return _refine_ints(_int_vector(p), interval.lo, interval.hi, tol)
+
+
+def _refine_ints(f: list[int], lo: Fraction, hi: Fraction, tol: Fraction) -> Fraction:
+    """`refine_root` on the bracket (lo, hi) of a root of the integer vector
+    f, for a positive Fraction tol."""
+    s = _bisection_poly(f, lo, hi)
     # k is the least count with (hi - lo) / 2**k < tol. The bracket is
     # carried as numerators a, b over den = lcm * 2**k, so every midpoint
     # (a + b) >> 1 is exact and its sign is that of den**n * s(m / den).

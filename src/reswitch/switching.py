@@ -33,10 +33,11 @@ two-technique menu. The analysis lives as long as its caller keeps it:
 `reswitch analyze` builds one per command and hands it to every step that
 reads a pair, and no module-level state or returned object refers to an
 analysis or a record, so nothing outlives the call.
-Integer vectors are the only polynomials this module computes with: a
-`Polynomial` is built only to call `isolate_real_roots` or `refine_root`,
-and brackets are narrowed by `polynomial._narrow` on the vectors themselves
-(on the square-free part for an even tie).
+Integer vectors are the only polynomials this module computes with: they
+are isolated and refined through the integer entry points
+`polynomial._isolate_ints` and `polynomial._refine_ints`, and brackets are
+narrowed by `polynomial._narrow` on the vectors themselves (on the
+square-free part for an even tie).
 
 Each candidate boundary (`_Cut`) records the technique pairs whose odd tie
 it certifies, on the bracket and difference of the first of them. One sweep
@@ -66,21 +67,24 @@ from .errors import DomainError, IdenticalTechniquesError
 from .model import Technique, TechnologySet
 from .polynomial import (
     ODD,
-    Polynomial,
     RootInterval,
     _bisection_poly,
     _cauchy_bound,
     _changes_sign,
+    _isolate_ints,
     _narrow,
     _primitive_gcd,
+    _refine_ints,
     _scaled_value,
     _sign_at,
     _squarefree_ints,
     _subtract_ints,
     _vanishing_order,
-    isolate_real_roots,
-    refine_root,
 )
+
+# not called here: the benchmark's tracer (bench/spans.py) wraps and
+# restores this name on this module
+from .polynomial import isolate_real_roots  # noqa: F401
 
 APPROX_TOL = Fraction(1, 10**9)
 
@@ -211,7 +215,7 @@ class _PairTies:
 
     def approx(self, iv: RootInterval) -> Fraction:
         """The root's x: exact, or refined to within APPROX_TOL."""
-        return iv.lo if iv.is_exact else refine_root(iv, Polynomial(self.f), APPROX_TOL)
+        return iv.lo if iv.is_exact else _refine_ints(self.f, iv.lo, iv.hi, APPROX_TOL)
 
 
 def _pair_ties(f: list[int], lo: Fraction, hi: Fraction) -> _PairTies:
@@ -220,7 +224,7 @@ def _pair_ties(f: list[int], lo: Fraction, hi: Fraction) -> _PairTies:
     bound = _cauchy_bound(f) + 1
     clipped = (
         _clip_bracket(f, iv, xlo, xhi)
-        for iv in isolate_real_roots(Polynomial(f), -bound, bound)
+        for iv in _isolate_ints(f, -bound, bound)
     )
     return _PairTies(f, tuple(iv for iv in clipped if iv is not None))
 
@@ -569,7 +573,7 @@ def dominance_map(
                 )
             }
         )
-        approx_x = refine_root(RootInterval(cut.lo, cut.hi, ODD), Polynomial(cut.f), APPROX_TOL)
+        approx_x = _refine_ints(cut.f, cut.lo, cut.hi, APPROX_TOL)
         cert = RootInterval(cut.lo - 1, cut.hi - 1, ODD)
         cost = analysis._tie_cost(anchor.name, approx_x)
         return Boundary(None, approx_x - 1, cert, ties, None, cost)

@@ -6,8 +6,9 @@ dense sign scans with finite differences, plain bisection, products of
 coefficient lists by convolution, the
 rational-root theorem with every candidate evaluated as a fraction, Euclid's
 gcd, Yun's decomposition and the classic Sturm sequence by long division
-over the rationals, bracket bisection with a Fraction evaluation at every
-midpoint, direct cheapest-technique evaluation, a grid scan of a dominance
+over the rationals, root counts with multiplicity from both, the sign
+variations of a domain-mapped polynomial expanded by convolution, bracket
+bisection with a Fraction evaluation at every midpoint, direct cheapest-technique evaluation, a grid scan of a dominance
 map against it and the grid cells where the cheapest technique changes, an
 exact-grid re-check of the factor-price collapse, seeded menus built to meet
 the relative-price curve's preconditions, the floating-point log-spaced
@@ -238,6 +239,34 @@ def fraction_sturm_count(coeffs, a: Fraction, b: Fraction) -> int:
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return variations(a) - variations(b)
+
+
+def roots_with_multiplicity(coeffs, a: Fraction, b: Fraction) -> int:
+    """Real roots in the open interval (a, b) of a nonzero coefficient list,
+    counted with multiplicity: a Sturm count on each factor f_k of
+    `fraction_yun`, times k, after dividing out a root at either end (each
+    factor is square-free, so it holds such a root once)."""
+    total = 0
+    for factor, k in fraction_yun(coeffs)[1]:
+        for end in (a, b):
+            if _poly_eval(factor, end) == 0:
+                factor = _fraction_divmod(factor, [-end, 1])[0]
+        total += k * fraction_sturm_count(factor, a, b)
+    return total
+
+
+def descartes_domain_variations(coeffs, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + t)**n * p((lo + hi*t) / (1 + t)), p of degree
+    n given by its coefficient list, expanded as the sum of p_k * (lo +
+    hi*t)**k * (1 + t)**(n - k) by `int_product` over Fractions."""
+    p = _strip(coeffs)
+    n = len(p) - 1
+    expanded = [Fraction(0)] * (n + 1)
+    for k, c in enumerate(p):
+        for j, v in enumerate(int_product([[lo, hi]] * k + [[1, 1]] * (n - k))):
+            expanded[j] += c * v
+    signs = [v > 0 for v in expanded if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def fraction_narrow(coeffs, a: Fraction, b: Fraction, more) -> tuple[Fraction, Fraction]:

@@ -2,10 +2,13 @@ import json
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import reswitch.factorspace as factorspace
+import reswitch.harness as harness
 from reswitch import (
     GeneratorConfig,
     Technique,
@@ -16,9 +19,19 @@ from reswitch import (
     samuelson_example,
     trial_seed,
 )
-from reswitch.harness import _grid_mismatches
+from reswitch.cli import load_model
+from reswitch.harness import (
+    GRID_CHECK_EVERY,
+    _cannot_reswitch,
+    _grid_mismatches,
+    _planted_two_switch,
+)
+from reswitch.polynomial import _domain_variations, _subtract_ints
+from reswitch.switching import DEFAULT_HI, DEFAULT_LO, _cost_rows
 
-from oracles import grid_mismatches
+from oracles import grid_mismatches, roots_with_multiplicity
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestGenerator:
@@ -205,3 +218,104 @@ class TestGridCheck:
         counts = [_grid_mismatches(menu, m, lo, hi) for m in maps]
         assert counts == [oracle_count(menu, m, lo, hi) for m in maps]
         assert counts[0] == 0 and all(counts[1:])
+
+
+def cost_difference(a: Technique, b: Technique) -> list[int]:
+    """The integer difference of the two techniques' cost rows, a positive
+    multiple of cost_a - cost_b at unit wage, as `_cannot_reswitch` takes it."""
+    return _subtract_ints(*_cost_rows(TechnologySet([a, b]).techniques)[0])
+
+
+def seeded_and_fixture_pairs():
+    """2,000 generated trials (both structures, horizons 2-6) as menus, then
+    every pair of distinct profiles of every model in tests/data."""
+    for structure in ("disjoint", "free"):
+        cfg = GeneratorConfig(
+            seed=31, trials=1000, horizon_min=2, horizon_max=6, structure=structure
+        )
+        for idx in range(cfg.trials):
+            yield generate_technology(cfg, idx)
+    for path in sorted(DATA.glob("*.json")):
+        reps = load_model(str(path)).distinct_profiles()[0]
+        for a, b in combinations(reps, 2):
+            yield TechnologySet([a, b])
+
+
+class TestDescartesScreen:
+    """The trial screen of `run_falsification`: Descartes' rule of signs on
+    the domain-mapped cost difference."""
+
+    XLO, XHI = 1 + DEFAULT_LO, 1 + DEFAULT_HI
+
+    def test_bound_holds_and_skipped_trials_cannot_reswitch(self):
+        # roots in the open domain, with multiplicity, number at most the
+        # variations and have their parity; a skipped trial's full map has
+        # no reswitching and no tangency
+        menus = list(seeded_and_fixture_pairs())
+        assert len(menus) > 2000
+        horizons, skipped, planted_size = set(), 0, 0
+        for ts in menus:
+            horizons.add(ts.horizon)
+            f = cost_difference(*ts.techniques)
+            if f:
+                count = _domain_variations(f, self.XLO, self.XHI)
+                roots = roots_with_multiplicity(f, self.XLO, self.XHI)
+                assert roots <= count and (count - roots) % 2 == 0, ts
+                planted_size += roots >= 2
+            if _cannot_reswitch(ts, DEFAULT_LO, DEFAULT_HI):
+                skipped += 1
+                report = detect_reswitching(ts)
+                assert not report.reswitching and report.tangencies == (), ts
+        assert horizons == {2, 3, 4, 5, 6}
+        assert planted_size > 0 and 0 < skipped < len(menus)
+
+    def test_planted_pairs_have_two_variations(self):
+        for seed in range(400):
+            labors = _planted_two_switch(random.Random(seed), 3 + seed % 4)
+            ts = TechnologySet([Technique("a", labors[0]), Technique("b", labors[1])])
+            f = cost_difference(*ts.techniques)
+            assert _domain_variations(f, self.XLO, self.XHI) >= 2
+            assert not _cannot_reswitch(ts, DEFAULT_LO, DEFAULT_HI)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((1, 0, 1), (0, 2, 0)),  # x(x - 1)**2: a tangency at 0%, the left edge
+            ((3, 0), (0, 1)),  # x(3 - x): a switch at 200%, the right edge
+            ((1, 2, 3), (1, 2, 3)),  # identical profiles
+        ],
+    )
+    def test_edge_roots_and_identical_profiles_are_not_skipped(self, a, b):
+        ts = TechnologySet([Technique("a", a), Technique("b", b)])
+        assert not _cannot_reswitch(ts, DEFAULT_LO, DEFAULT_HI)
+
+    def test_edge_tangency_is_in_the_full_map(self):
+        # no root inside the domain, so the variation test alone would skip
+        # this pair and lose its tangency
+        ts = TechnologySet([Technique("a", (1, 0, 1)), Technique("b", (0, 2, 0))])
+        f = cost_difference(*ts.techniques)
+        assert _domain_variations(f, self.XLO, self.XHI) <= 1
+        (tangency,) = detect_reswitching(ts).tangencies
+        assert tangency.interest_exact == 0
+
+    def test_detect_calls_on_seed_one(self, monkeypatch):
+        # the maps the screen leaves on `falsify --seed 1 --trials 1000`: every
+        # grid-check trial and every reswitching trial is among them
+        generated, mapped = [], []
+        generate, detect = harness.generate_technology, harness.detect_reswitching
+
+        def generating(cfg, idx):
+            generated.append(idx)
+            return generate(cfg, idx)
+
+        def detecting(*args, **kwargs):
+            mapped.append(generated[-1])
+            return detect(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_technology", generating)
+        monkeypatch.setattr(harness, "detect_reswitching", detecting)
+        report = run_falsification(GeneratorConfig(seed=1, trials=1000))
+        assert len(mapped) == 410
+        assert set(range(0, 1000, GRID_CHECK_EVERY)) <= set(mapped)
+        assert set(report.reswitching_trials) <= set(mapped)
+        assert report.grid_checks == 10

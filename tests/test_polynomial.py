@@ -12,6 +12,7 @@ from oracles import (
     _fraction_divmod,
     _poly_eval,
     bisect_root,
+    descartes_domain_variations,
     fraction_gcd,
     fraction_narrow,
     fraction_sturm_chain,
@@ -20,6 +21,7 @@ from oracles import (
     int_product,
     oracle_root_value,
     rational_roots,
+    roots_with_multiplicity,
     scan_sign_roots,
 )
 import reswitch.polynomial as polynomial
@@ -35,9 +37,11 @@ from reswitch import (
 )
 from reswitch.polynomial import (
     _cauchy_bound,
+    _domain_variations,
     _int_vector,
     _primitive_gcd,
     _squarefree_ints,
+    _taylor_shift,
     _vanishing_order,
     sturm_chain,
 )
@@ -859,3 +863,42 @@ class TestSympyOracle:
                    "bracket even": 20, "hi root": 10, "lo root": 10}
         for kind, count in minimum.items():
             assert seen[kind] >= count, (kind, seen)
+
+
+class TestDomainVariations:
+    """Descartes' rule of signs on an interval, against an expansion of the
+    domain-mapped polynomial over Fractions and root counts by Yun and
+    Sturm."""
+
+    def test_taylor_shift_moves_the_argument(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            v = [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))]
+            a = rng.randint(-5, 5)
+            shifted = _taylor_shift(v, a)
+            for y in range(-3, 4):
+                assert _poly_eval(shifted, F(y)) == _poly_eval(v, F(y + a))
+
+    def test_bound_on_planted_roots(self):
+        # roots planted inside, on and outside random domains, some repeated,
+        # times a random cofactor; every domain end has a denominator
+        rng = random.Random(27)
+        strict = 0
+        for _ in range(300):
+            lo = F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4)))
+            hi = lo + F(rng.randint(1, 8), rng.choice((1, 2, 3, 4)))
+            factors = [[rng.randint(-4, 4) or 1 for _ in range(rng.randint(1, 3))]]
+            for _ in range(rng.randint(0, 3)):
+                r = rng.choice((lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3, hi + 1))
+                factors += [[-r.numerator, r.denominator]] * rng.randint(1, 3)
+            f = int_product(factors)
+            while len(f) > 1 and f[-1] == 0:
+                f.pop()
+            if len(f) < 2:
+                continue
+            count = _domain_variations(f, lo, hi)
+            assert count == descartes_domain_variations(f, lo, hi)
+            roots = roots_with_multiplicity(f, lo, hi)
+            assert roots <= count and (count - roots) % 2 == 0
+            strict += roots < count
+        assert strict > 0

@@ -847,13 +847,13 @@ class TestManyTechniques:
 class TestSharedPairAnalysis:
     def _count_isolations(self, monkeypatch) -> list:
         calls = []
-        original = switching.isolate_real_roots
+        original = switching._isolate_ints
 
-        def counting(p, *args, **kwargs):
-            calls.append(p)
-            return original(p, *args, **kwargs)
+        def counting(f, *args, **kwargs):
+            calls.append(tuple(f))
+            return original(f, *args, **kwargs)
 
-        monkeypatch.setattr(switching, "isolate_real_roots", counting)
+        monkeypatch.setattr(switching, "_isolate_ints", counting)
         return calls
 
     def test_champagne_pair_isolated_once(self, monkeypatch):
